@@ -31,7 +31,6 @@ pub fn backend_entry_if_requested() {
         max_connections: 32,
         request_timeout: Some(Duration::from_secs(10)),
         slow_threshold: None,
-        tagged_window: 16,
     };
     let server = Server::bind("127.0.0.1:0", QuantTablePair::standard(75), None, config)
         .expect("backend bind");

@@ -15,10 +15,11 @@
 //!   [`Client::begin_decompress_stream`]): pixel strips travel as
 //!   individual frames so neither side materializes a whole image.
 //! - **Pipelined requests** ([`Client::pipeline`]): a bounded window of
-//!   request/response ops kept in flight at once. The service handles a
-//!   connection's requests strictly in order, so replies sequence
-//!   themselves; the [`Pipeline`] applies backpressure when the window is
-//!   full and extends reconnect+replay to the whole unacknowledged window.
+//!   request/response ops kept in flight at once. The service answers a
+//!   v1 connection's requests in arrival order and a tagged one's by tag;
+//!   the [`Pipeline`] returns replies in submission order either way,
+//!   applies backpressure when the window is full, and extends
+//!   reconnect+replay to the whole unacknowledged window.
 
 use crate::protocol::{self, Opcode, STATUS_BUSY, STATUS_ERR, STATUS_OK, STATUS_TIMEOUT};
 use crate::{ServeError, StatsSnapshot};
@@ -52,9 +53,9 @@ pub struct Client {
     /// the reconciliation twin of [`Client::hellos_sent`].
     split_requests: u64,
     /// Request bodies re-sent by the reconnect+replay machinery (one per
-    /// replayed frame, across the one-shot, v1-pipeline, and tagged
-    /// paths). A front end counts the replayed copy as a fresh request,
-    /// so load generators fold these into reconciliation like
+    /// replayed frame, across the one-shot and pipeline paths). A front
+    /// end counts the replayed copy as a fresh request, so load
+    /// generators fold these into reconciliation like
     /// [`Client::hellos_sent`].
     replays: u64,
     /// Table fingerprint advertised in `Hello` (0 = none): a sharded
@@ -175,10 +176,10 @@ impl Client {
     }
 
     /// Request bodies re-sent by reconnect+replay — one per replayed
-    /// frame across the one-shot, v1-pipeline, and tagged recovery
-    /// paths. A sharded front end counts each replayed copy as a fresh
-    /// forwarded request, so load generators add these to the expected
-    /// fleet-side request count (see `docs/SHARDING.md`).
+    /// frame across the one-shot and pipeline replay paths. A sharded
+    /// front end counts each replayed copy as a fresh forwarded request,
+    /// so load generators add these to the expected fleet-side request
+    /// count (see `docs/SHARDING.md`).
     pub fn replays(&self) -> u64 {
         self.replays
     }
@@ -490,7 +491,6 @@ impl Client {
         Pipeline {
             client: self,
             window: window.max(1),
-            inflight: VecDeque::new(),
             prefetched: VecDeque::new(),
             ready: VecDeque::new(),
             replay_armed: true,
@@ -900,15 +900,17 @@ fn decode_pipeline_reply(op: Opcode, frame: Vec<u8>) -> Result<PipelineReply, Se
 /// opened with [`Client::pipeline`].
 ///
 /// Submitting is non-blocking while the window has room; once it is full,
-/// the next submit first reads the oldest reply off the wire, so at most
-/// `window` requests are ever outstanding on the connection
-/// (backpressure against the *service*). Replies read ahead this way wait
-/// in a client-side buffer until [`recv`](Pipeline::recv) — a caller that
-/// submits many requests without receiving holds those parsed replies in
-/// memory, so interleave `recv`/[`try_ready`](Pipeline::try_ready) with
-/// submission when replies are large. `recv` returns replies strictly in
-/// submission order — the service handles one connection's requests
-/// serially, so no frame tagging is needed.
+/// the next submit first reads a reply off the wire, so at most `window`
+/// requests are ever outstanding on the connection (backpressure against
+/// the *service*). Replies read ahead this way wait in a client-side
+/// buffer until [`recv`](Pipeline::recv) — a caller that submits many
+/// requests without receiving holds those parsed replies in memory, so
+/// interleave `recv`/[`try_ready`](Pipeline::try_ready) with submission
+/// when replies are large. `recv` returns replies strictly in submission
+/// order: on a v1 connection the service answers one connection's
+/// requests in arrival order, so each reply answers the oldest
+/// unanswered request; on a tagged connection replies are matched by tag
+/// and out-of-order arrivals wait until their predecessors complete.
 ///
 /// ## Failure semantics
 ///
@@ -929,30 +931,28 @@ fn decode_pipeline_reply(op: Opcode, frame: Vec<u8>) -> Result<PipelineReply, Se
 pub struct Pipeline<'c> {
     client: &'c mut Client,
     window: usize,
-    /// Submitted requests whose reply frame has not been consumed: the op
-    /// (to parse the reply) and the full request body (to replay it).
-    inflight: VecDeque<(Opcode, Vec<u8>)>,
-    /// Raw reply frames read ahead of [`Pipeline::pump`] — drained off
-    /// the socket while a request write was blocked on a full send
-    /// buffer, so a window of large requests and large replies cannot
+    /// Raw reply frames read ahead of their matching — drained off the
+    /// socket while a request write was blocked on a full send buffer,
+    /// so a window of large requests and large replies cannot
     /// write-write deadlock with the server (which has no write timeout
-    /// either). Frame `i` here answers `inflight[i]`.
+    /// either).
     prefetched: VecDeque<Vec<u8>>,
-    /// Replies drained by backpressure before the caller asked for them.
+    /// Completed replies, in submission order, not yet returned by
+    /// [`recv`](Pipeline::recv).
     ready: VecDeque<Result<PipelineReply, ServeError>>,
     /// One reconnect+replay is allowed per stall; re-armed every time a
     /// reply lands (progress), so a dead service cannot loop forever.
     replay_armed: bool,
-    /// Tagged (protocol v2) mode: requests carry tags, the service may
-    /// answer out of order, and batches are split across tags. Fixed at
-    /// [`Client::pipeline`] time.
+    /// Tagged (protocol v2) mode: frames carry tags, the service may
+    /// answer out of order, and large batches are split across tags.
+    /// Fixed at [`Client::pipeline`] time.
     tagged: bool,
-    /// Tagged mode's submission-order queue. Each entry is one logical
-    /// request, possibly split into several tagged parts; completed
-    /// entries leave from the front into `ready`.
-    entries: VecDeque<TaggedEntry>,
-    /// Tagged parts sent whose reply has not arrived — the quantity the
-    /// window bounds.
+    /// The submission-order queue. Each entry is one logical request,
+    /// possibly split into several parts; completed entries leave from
+    /// the front into `ready`.
+    entries: VecDeque<Entry>,
+    /// Parts sent whose reply has not arrived — the quantity the window
+    /// bounds.
     unacked: usize,
 }
 
@@ -963,28 +963,29 @@ pub struct Pipeline<'c> {
 /// single round trip is cheaper than per-item framing.
 const SPLIT_BATCH_BUDGET: usize = 4096;
 
-/// One logical tagged request: a single part for most ops, one part per
-/// item for split batches (so replies stream out as items complete).
+/// One logical pipelined request: a single part for most ops, one part
+/// per item for split batches (so replies stream out as items complete).
 #[derive(Debug)]
-struct TaggedEntry {
+struct Entry {
     op: Opcode,
-    parts: Vec<TaggedPart>,
+    parts: Vec<Part>,
     /// Parts this entry will have once fully submitted; an entry is
     /// complete (and deliverable) only when `parts.len() == expected`
     /// and every part holds its reply.
     expected: usize,
 }
 
-impl TaggedEntry {
+impl Entry {
     fn is_complete(&self) -> bool {
         self.parts.len() == self.expected && self.parts.iter().all(|p| p.reply.is_some())
     }
 }
 
-/// One tagged request frame: its tag, the v1-shaped body kept for
-/// replay-after-reconnect, and the v1-shaped reply once it arrived.
+/// One request frame: its tag (sent on the wire only in tagged mode),
+/// the v1-shaped body kept for replay-after-reconnect, and the v1-shaped
+/// reply once it arrived.
 #[derive(Debug)]
-struct TaggedPart {
+struct Part {
     tag: u32,
     body: Vec<u8>,
     reply: Option<Vec<u8>>,
@@ -999,7 +1000,7 @@ impl Pipeline<'_> {
     /// Requests whose reply has not been returned by
     /// [`recv`](Pipeline::recv) yet — drain with that many `recv` calls.
     pub fn pending(&self) -> usize {
-        self.inflight.len() + self.entries.len() + self.ready.len()
+        self.entries.len() + self.ready.len()
     }
 
     /// Submits a liveness probe.
@@ -1039,7 +1040,7 @@ impl Pipeline<'_> {
                     w.into_bytes()
                 })
                 .collect();
-            return self.submit_tagged_parts(Opcode::EncodeBatch, bodies);
+            return self.submit_parts(Opcode::EncodeBatch, bodies);
         }
         self.submit(Opcode::EncodeBatch, &image_batch_payload(images))
     }
@@ -1067,7 +1068,7 @@ impl Pipeline<'_> {
                     w.into_bytes()
                 })
                 .collect();
-            return self.submit_tagged_parts(Opcode::DecodeBatch, bodies);
+            return self.submit_parts(Opcode::DecodeBatch, bodies);
         }
         self.submit(Opcode::DecodeBatch, &blob_batch_payload(streams))
     }
@@ -1117,79 +1118,105 @@ impl Pipeline<'_> {
     /// [`Timeout`](ServeError::Timeout) — the pipeline continues), or a
     /// fatal transport error (see the type docs).
     pub fn recv(&mut self) -> Result<PipelineReply, ServeError> {
-        if let Some(reply) = self.ready.pop_front() {
-            return reply;
-        }
-        if self.tagged {
+        // Each wait matches at least one reply frame to its part; the
+        // front entry has finitely many outstanding parts, so this
+        // terminates (or surfaces a transport error).
+        loop {
+            if let Some(reply) = self.ready.pop_front() {
+                return reply;
+            }
             if self.entries.is_empty() {
                 return Err(ServeError::Protocol("no requests in flight".into()));
             }
-            // Each pump consumes at least one reply frame; the front
-            // entry has finitely many outstanding parts, so this
-            // terminates (or surfaces a transport error).
-            while self.ready.is_empty() {
-                self.pump_tagged()?;
-            }
-            return match self.ready.pop_front() {
-                Some(reply) => reply,
-                None => Err(ServeError::Protocol("pipeline pumped no reply".into())),
-            };
-        }
-        if self.inflight.is_empty() {
-            return Err(ServeError::Protocol("no requests in flight".into()));
-        }
-        self.pump()?;
-        match self.ready.pop_front() {
-            Some(reply) => reply,
-            None => Err(ServeError::Protocol("pipeline pumped no reply".into())),
+            self.await_reply()?;
         }
     }
 
-    /// Submits one request, applying backpressure first when the window is
-    /// full.
+    /// Submits one single-part request.
     fn submit(&mut self, op: Opcode, payload: &[u8]) -> Result<(), ServeError> {
         let mut body = Vec::with_capacity(1 + payload.len());
         body.push(op as u8);
         body.extend_from_slice(payload);
-        if self.tagged {
-            return self.submit_tagged_parts(op, vec![body]);
-        }
-        while self.inflight.len() >= self.window {
-            self.pump()?;
-        }
-        if self.client.stream.is_none() && !self.inflight.is_empty() {
-            // The connection died after earlier submissions: those must be
-            // replayed onto the fresh connection *before* this one, or the
-            // reply order no longer matches the submission order.
-            self.recover(ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))?;
-        }
-        match self.send_request(&body) {
-            Ok(()) => {}
-            Err(e) if Client::is_stale_connection(&e) => {
-                self.recover(e)?;
-                // The failed first write may or may not have delivered a
-                // complete frame; the resend is a replay either way.
-                self.client.replays += 1;
-                self.send_request(&body)?;
+        self.submit_parts(op, vec![body])
+    }
+
+    /// Submits one logical request as `bodies.len()` parts, applying
+    /// window backpressure per part. The entry is queued first so replies
+    /// to early parts can land while later parts are still being written.
+    fn submit_parts(&mut self, op: Opcode, bodies: Vec<Vec<u8>>) -> Result<(), ServeError> {
+        self.entries.push_back(Entry {
+            op,
+            parts: Vec::with_capacity(bodies.len()),
+            expected: bodies.len(),
+        });
+        self.client.split_requests += bodies.len() as u64 - 1;
+        for body in bodies {
+            if let Err(e) = self.submit_part(body) {
+                // A request none of whose parts went out can never be
+                // answered: forget it, so `pending` stays drainable.
+                if self
+                    .entries
+                    .back()
+                    .is_some_and(|entry| entry.parts.is_empty())
+                {
+                    self.entries.pop_back();
+                }
+                return Err(e);
             }
-            Err(e) => return Err(e),
         }
-        self.inflight.push_back((op, body));
+        self.finalize_ready();
         Ok(())
     }
 
-    /// Writes one request frame on the current connection, draining reply
-    /// frames into `prefetched` whenever the send buffer is full. Tears
-    /// the connection down on failure; a partially written frame dies
-    /// with it (the retry rewrites from byte 0 on a fresh connection).
-    fn send_request(&mut self, body: &[u8]) -> Result<(), ServeError> {
-        let outstanding = self.inflight.len() - self.prefetched.len();
-        let result =
-            Self::write_frame_draining(self.client, &mut self.prefetched, outstanding, None, body);
-        if result.is_err() {
-            self.client.stream = None;
+    /// Sends one part of the newest entry once the window has room.
+    fn submit_part(&mut self, body: Vec<u8>) -> Result<(), ServeError> {
+        while self.unacked >= self.window {
+            self.await_reply()?;
         }
-        result
+        if self.client.stream.is_none() && self.unacked > 0 {
+            // The connection died after earlier parts: replay them onto
+            // the fresh connection before sending this one, or v1
+            // replies no longer line up with submission order.
+            self.replay_unacked(ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))?;
+        }
+        // (Re)connect before framing, so the grant is known: a service
+        // that stopped granting tagged framing must fail the pipeline
+        // typed, not receive misframed bytes.
+        self.client.ensure_connected().map(|_| ())?;
+        if self.tagged && !self.client.tagged {
+            return Err(ServeError::Protocol(
+                "service did not grant tagged framing; open an untagged pipeline".into(),
+            ));
+        }
+        let tag = self.client.take_tag();
+        let sent = Self::write_frame_draining(
+            self.client,
+            &mut self.prefetched,
+            self.unacked,
+            self.tagged.then_some(tag),
+            &body,
+        );
+        if let Err(e) = &sent {
+            self.client.stream = None;
+            if !Client::is_stale_connection(e) {
+                return sent;
+            }
+        }
+        // Parked unacknowledged even when the write failed on a dead
+        // connection: the replay below resends it with the rest of the
+        // unacknowledged window.
+        if let Some(entry) = self.entries.back_mut() {
+            entry.parts.push(Part {
+                tag,
+                body,
+                reply: None,
+            });
+        }
+        self.unacked += 1;
+        if let Err(e) = sent {
+            self.replay_unacked(e)?;
+        }
+        self.drain_prefetched()
     }
 
     /// The deadlock-free frame writer the pipeline uses: the socket is
@@ -1231,7 +1258,7 @@ impl Pipeline<'_> {
         // flips back to blocking only around a drain read and before
         // returning, so callers that keep the connection never see it
         // nonblocking — even on failure, where `restored` matters because
-        // `recover`'s write errors leave the stream in place for the
+        // a replay's write errors leave the stream in place for the
         // pipeline's Drop to discard.
         stream.set_nonblocking(true)?;
         let result = Self::write_draining_nonblocking(stream, prefetched, outstanding, &frame);
@@ -1287,156 +1314,22 @@ impl Pipeline<'_> {
         Ok(())
     }
 
-    /// Reads the oldest in-flight request's reply into the ready queue,
-    /// reconnecting and replaying the unacknowledged window when the
-    /// pooled connection turns out to be dead.
-    fn pump(&mut self) -> Result<(), ServeError> {
-        debug_assert!(!self.inflight.is_empty(), "pump with requests in flight");
+    /// Blocks for at least one reply frame (unless some are already
+    /// prefetched), matches every buffered frame to its part, and moves
+    /// completed front entries into the ready queue. A dead pooled
+    /// connection is reconnected and the unacknowledged window replayed.
+    fn await_reply(&mut self) -> Result<(), ServeError> {
         if self.prefetched.is_empty() && self.client.stream.is_none() {
             // A previous failure already tore the connection down (e.g.
             // the close that follows a busy rejection): replay before
             // reading anything.
-            self.recover(ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))?;
+            self.replay_unacked(ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))?;
         }
         if self.prefetched.is_empty() {
             match self.client.recv_reply() {
                 Ok(frame) => self.prefetched.push_back(frame),
                 Err(e) if Client::is_stale_connection(&e) => {
-                    self.recover(e)?;
-                    // The replay itself may have prefetched the frame.
-                    if self.prefetched.is_empty() {
-                        let frame = self.client.recv_reply()?;
-                        self.prefetched.push_back(frame);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let Some(frame) = self.prefetched.pop_front() else {
-            return Err(ServeError::Protocol("pump buffered no reply frame".into()));
-        };
-        // A reply landed: progress, so a future stall gets a fresh replay.
-        self.replay_armed = true;
-        let Some((op, _)) = self.inflight.pop_front() else {
-            return Err(ServeError::Protocol(
-                "pump ran with no requests in flight".into(),
-            ));
-        };
-        self.ready.push_back(decode_pipeline_reply(op, frame));
-        Ok(())
-    }
-
-    /// One-shot reconnect+replay of the unacknowledged window, in
-    /// submission order. Requests whose reply frame was already prefetched
-    /// are acknowledged and are **not** resent — a duplicate would earn a
-    /// duplicate reply and desynchronize every later request. `cause` is
-    /// surfaced unchanged when the replay budget for this stall is
-    /// already spent.
-    fn recover(&mut self, cause: ServeError) -> Result<(), ServeError> {
-        if !self.replay_armed {
-            return Err(cause);
-        }
-        self.replay_armed = false;
-        self.client.stream = None;
-        let client = &mut *self.client;
-        let prefetched = &mut self.prefetched;
-        let acknowledged = prefetched.len();
-        for (resent, (_, body)) in self.inflight.iter().skip(acknowledged).enumerate() {
-            // Replies to already-resent requests may arrive while later
-            // bodies are still being written; the draining writer absorbs
-            // them.
-            let outstanding = resent - (prefetched.len() - acknowledged);
-            Self::write_frame_draining(client, prefetched, outstanding, None, body)?;
-            client.replays += 1;
-        }
-        Ok(())
-    }
-}
-
-impl Pipeline<'_> {
-    /// Submits one logical tagged request as `bodies.len()` tagged parts,
-    /// applying window backpressure per part. The entry is queued first
-    /// so replies to early parts can land while later parts are still
-    /// being written.
-    fn submit_tagged_parts(&mut self, op: Opcode, bodies: Vec<Vec<u8>>) -> Result<(), ServeError> {
-        self.entries.push_back(TaggedEntry {
-            op,
-            parts: Vec::with_capacity(bodies.len()),
-            expected: bodies.len(),
-        });
-        self.client.split_requests += bodies.len() as u64 - 1;
-        for body in bodies {
-            while self.unacked >= self.window {
-                self.pump_tagged()?;
-            }
-            if self.client.stream.is_none() && self.unacked > 0 {
-                // The connection died after earlier parts: replay them
-                // onto the fresh connection before sending this one.
-                self.recover_tagged(ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))?;
-            }
-            // (Re)connect before framing, so the grant is known: a
-            // service that stopped granting tagged framing must fail the
-            // pipeline typed, not receive misframed bytes.
-            self.client.ensure_connected().map(|_| ())?;
-            if !self.client.tagged {
-                return Err(ServeError::Protocol(
-                    "service did not grant tagged framing; open an untagged pipeline".into(),
-                ));
-            }
-            let tag = self.client.take_tag();
-            let outstanding = self.unacked;
-            let sent = Self::write_frame_draining(
-                self.client,
-                &mut self.prefetched,
-                outstanding,
-                Some(tag),
-                &body,
-            );
-            match sent {
-                Ok(()) => {
-                    if let Some(entry) = self.entries.back_mut() {
-                        entry.parts.push(TaggedPart {
-                            tag,
-                            body,
-                            reply: None,
-                        });
-                    }
-                    self.unacked += 1;
-                }
-                Err(e) if Client::is_stale_connection(&e) => {
-                    self.client.stream = None;
-                    // Park the part unacknowledged, then replay the whole
-                    // unacked window (this part included) keyed by tag.
-                    if let Some(entry) = self.entries.back_mut() {
-                        entry.parts.push(TaggedPart {
-                            tag,
-                            body,
-                            reply: None,
-                        });
-                    }
-                    self.unacked += 1;
-                    self.recover_tagged(e)?;
-                }
-                Err(e) => {
-                    self.client.stream = None;
-                    return Err(e);
-                }
-            }
-            self.drain_prefetched()?;
-        }
-        self.finalize_ready();
-        Ok(())
-    }
-
-    /// Blocks for at least one tagged reply frame (unless some are
-    /// already prefetched), assigns every buffered frame to its part, and
-    /// moves completed front entries into the ready queue.
-    fn pump_tagged(&mut self) -> Result<(), ServeError> {
-        if self.prefetched.is_empty() {
-            match self.client.recv_reply() {
-                Ok(frame) => self.prefetched.push_back(frame),
-                Err(e) if Client::is_stale_connection(&e) => {
-                    self.recover_tagged(e)?;
+                    self.replay_unacked(e)?;
                     // The replay itself may have prefetched frames.
                     if self.prefetched.is_empty() {
                         let frame = self.client.recv_reply()?;
@@ -1451,37 +1344,42 @@ impl Pipeline<'_> {
         Ok(())
     }
 
-    /// Assigns every prefetched reply frame to its tagged part.
+    /// Matches every prefetched reply frame to its part.
     fn drain_prefetched(&mut self) -> Result<(), ServeError> {
         while let Some(frame) = self.prefetched.pop_front() {
-            self.accept_tagged_frame(frame)?;
+            self.accept_frame(frame)?;
         }
         Ok(())
     }
 
-    /// Matches one tagged reply frame to the in-flight part carrying its
-    /// tag. A reply with an unknown (or already-answered) tag means the
-    /// framing contract broke: fatal, and the connection is discarded so
-    /// the poison cannot spread to the next request.
-    fn accept_tagged_frame(&mut self, mut frame: Vec<u8>) -> Result<(), ServeError> {
-        let tag = match protocol::split_tagged(&frame) {
-            Ok((tag, _)) => tag,
-            Err(e) => {
-                self.client.stream = None;
-                return Err(e);
-            }
+    /// Matches one reply frame to its part: by tag under tagged framing,
+    /// else to the oldest unanswered part — the service answers a v1
+    /// connection's requests in arrival order. A reply that matches no
+    /// part means the framing contract broke: fatal, and the connection
+    /// is discarded so the poison cannot spread to the next request.
+    fn accept_frame(&mut self, mut frame: Vec<u8>) -> Result<(), ServeError> {
+        let tag = if self.tagged {
+            let tag = match protocol::split_tagged(&frame) {
+                Ok((tag, _)) => tag,
+                Err(e) => {
+                    self.client.stream = None;
+                    return Err(e);
+                }
+            };
+            // Strip the tag prefix in place; the body keeps its allocation.
+            frame.drain(..4);
+            Some(tag)
+        } else {
+            None
         };
-        // Strip the tag prefix in place; the body keeps its allocation.
-        frame.drain(..4);
-        let rest = frame;
         let slot = self
             .entries
             .iter_mut()
             .flat_map(|e| e.parts.iter_mut())
-            .find(|p| p.tag == tag && p.reply.is_none());
+            .find(|p| p.reply.is_none() && tag.is_none_or(|tag| p.tag == tag));
         match slot {
             Some(part) => {
-                part.reply = Some(rest);
+                part.reply = Some(frame);
                 self.unacked -= 1;
                 // A reply landed: progress, so a future stall gets a
                 // fresh replay.
@@ -1490,9 +1388,10 @@ impl Pipeline<'_> {
             }
             None => {
                 self.client.stream = None;
-                Err(ServeError::Protocol(format!(
-                    "reply carries unknown tag {tag}"
-                )))
+                Err(ServeError::Protocol(match tag {
+                    Some(tag) => format!("reply carries unknown tag {tag}"),
+                    None => "reply arrived with no request in flight".into(),
+                }))
             }
         }
     }
@@ -1501,7 +1400,7 @@ impl Pipeline<'_> {
     /// the ready queue. Later entries may already be complete; they wait
     /// so `recv` stays strictly in submission order.
     fn finalize_ready(&mut self) {
-        while self.entries.front().is_some_and(TaggedEntry::is_complete) {
+        while self.entries.front().is_some_and(Entry::is_complete) {
             let Some(entry) = self.entries.pop_front() else {
                 return;
             };
@@ -1509,43 +1408,44 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Tagged-mode reconnect+replay: re-establishes the connection
-    /// (which re-runs the `Hello` negotiation), then resends every part
-    /// whose reply had not arrived, in submission order, keyed by its
-    /// original tag. Parts already answered are not resent — a duplicate
-    /// would earn a duplicate-tag error reply. Same one-replay-per-stall
-    /// budget as the v1 path.
-    fn recover_tagged(&mut self, cause: ServeError) -> Result<(), ServeError> {
+    /// One-shot reconnect+replay: re-establishes the connection (which
+    /// re-runs the `Hello` negotiation in tagged mode), then resends
+    /// every part whose reply had not arrived, in submission order —
+    /// keyed by its original tag in tagged mode. Parts already answered
+    /// are never resent: a duplicate would earn a duplicate reply. `cause`
+    /// is surfaced unchanged when the replay budget for this stall is
+    /// already spent.
+    fn replay_unacked(&mut self, cause: ServeError) -> Result<(), ServeError> {
         if !self.replay_armed {
             return Err(cause);
         }
         self.replay_armed = false;
+        // Frames that arrived before the connection died answer their
+        // parts first, so those are not resent.
+        self.drain_prefetched()?;
         self.client.stream = None;
         self.client.ensure_connected().map(|_| ())?;
-        if !self.client.tagged {
+        if self.tagged && !self.client.tagged {
             return Err(ServeError::Protocol(
                 "service stopped granting tagged framing; the window cannot be replayed".into(),
             ));
         }
-        let unacked: Vec<Vec<u8>> = self
+        let unacked = self
             .entries
             .iter()
             .flat_map(|e| e.parts.iter())
-            .filter(|p| p.reply.is_none())
-            .map(|p| protocol::tagged_body(p.tag, &p.body))
-            .collect();
-        let drained_at_start = self.prefetched.len();
-        for (resent, framed) in unacked.iter().enumerate() {
+            .filter(|p| p.reply.is_none());
+        for (resent, part) in unacked.enumerate() {
             // Replies to already-resent parts may arrive while later
             // parts are still being written; the draining writer absorbs
             // them.
-            let outstanding = resent - (self.prefetched.len() - drained_at_start);
+            let outstanding = resent - self.prefetched.len();
             Self::write_frame_draining(
                 self.client,
                 &mut self.prefetched,
                 outstanding,
-                None,
-                framed,
+                self.tagged.then_some(part.tag),
+                &part.body,
             )?;
             self.client.replays += 1;
         }
@@ -1553,12 +1453,12 @@ impl Pipeline<'_> {
     }
 }
 
-/// Reassembles one completed tagged entry into its logical reply. An
-/// unsplit entry decodes exactly like a v1 reply; a split batch
-/// concatenates its per-item replies in item order, and the first failed
-/// item's typed error (in item order) fails the whole entry — delivered
-/// in the entry's position, like any per-request failure.
-fn assemble_entry(entry: TaggedEntry) -> Result<PipelineReply, ServeError> {
+/// Reassembles one completed entry into its logical reply. An unsplit
+/// entry decodes as its single reply frame; a split batch concatenates
+/// its per-item replies in item order, and the first failed item's typed
+/// error (in item order) fails the whole entry — delivered in the
+/// entry's position, like any per-request failure.
+fn assemble_entry(entry: Entry) -> Result<PipelineReply, ServeError> {
     let missing = || ServeError::Protocol("completed entry missing a part reply".into());
     if entry.expected == 1 {
         let frame = entry
@@ -1596,7 +1496,7 @@ impl Drop for Pipeline<'_> {
     fn drop(&mut self) {
         // Unread replies of abandoned requests would be misread as the
         // next request's reply; a fresh connection cannot have any.
-        if !self.inflight.is_empty() || !self.entries.is_empty() {
+        if !self.entries.is_empty() {
             self.client.stream = None;
         }
     }

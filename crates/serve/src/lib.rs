@@ -7,10 +7,15 @@
 //! length-prefixed localhost TCP protocol.
 //!
 //! Architecture: an acceptor thread hands each connection to a lightweight
-//! reader thread; every image in a batch request becomes one job on a
-//! **bounded** queue drained by a fixed worker pool, so a single large
-//! batch parallelizes across cores and an overloaded service applies
-//! backpressure (submission blocks) instead of growing without bound.
+//! reader thread, which admits the connection's requests into a bounded
+//! in-flight window — one request at a time on a v1 connection, so its
+//! replies leave in arrival order, and up to 16 under tagged framing.
+//! Each batch request becomes one job on a **bounded** queue drained by a
+//! fixed worker pool (each image's block work still fans out across cores
+//! on the shared `deepn-parallel` pool), so an overloaded service applies
+//! backpressure (submission waits) instead of growing without bound, and
+//! a per-connection writer thread delivers the pooled replies. Small
+//! requests on an otherwise idle connection run inline on the reader.
 //!
 //! Both wire directions stream: `CompressStream` feeds pixels to the
 //! service one 8-row strip frame at a time, and `DecompressStream` frames

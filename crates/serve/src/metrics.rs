@@ -59,18 +59,18 @@ pub(crate) struct ServeMetrics {
     registry: deepn_trace::Registry,
     counters: [Arc<Counter>; COUNTERS],
     active_connections: Arc<Gauge>,
-    /// High-water mark of completed-but-unwritten tagged replies queued
-    /// for any one connection's writer (updated with `set_max`).
+    /// High-water mark of completed-but-unwritten replies queued for any
+    /// one connection's writer thread (updated with `set_max`).
     pub(crate) reply_buffer_high_water: Arc<Gauge>,
     /// Whole-request wall time, read-to-reply, per request.
     pub(crate) request_seconds: Arc<Histogram>,
-    /// Time a fan-out job spent queued before a worker dequeued it.
+    /// Time a request job spent queued before a worker dequeued it.
     pub(crate) queue_wait_seconds: Arc<Histogram>,
-    /// Worker execution time per fan-out job.
+    /// Execution time per request job.
     pub(crate) execute_seconds: Arc<Histogram>,
     /// Time writing one reply frame to the socket.
     pub(crate) reply_write_seconds: Arc<Histogram>,
-    /// Time a completed tagged reply waited for its connection's writer.
+    /// Time a completed reply waited for its write to start.
     pub(crate) reply_wait_seconds: Arc<Histogram>,
 }
 
@@ -134,11 +134,11 @@ impl ServeMetrics {
         );
         let queue_wait_seconds = r.histogram(
             "deepn_serve_queue_wait_seconds",
-            "Time fan-out jobs spent queued before a worker picked them up.",
+            "Time request jobs spent queued before a worker picked them up (near zero when run inline on the reader).",
         );
         let execute_seconds = r.histogram(
             "deepn_serve_execute_seconds",
-            "Worker execution time per fan-out job.",
+            "Execution time per request job, on a pool worker or inline on the reader.",
         );
         let reply_write_seconds = r.histogram(
             "deepn_serve_reply_write_seconds",
@@ -146,11 +146,11 @@ impl ServeMetrics {
         );
         let reply_buffer_high_water = r.gauge(
             "deepn_serve_reply_buffer_high_water",
-            "High-water mark of completed tagged replies queued for one connection's writer.",
+            "High-water mark of completed replies queued for one connection's writer thread.",
         );
         let reply_wait_seconds = r.histogram(
             "deepn_serve_reply_wait_seconds",
-            "Time a completed tagged reply waited for its connection's writer.",
+            "Time a completed reply waited for its write to start (pooled replies wait for the connection's writer thread).",
         );
         ServeMetrics {
             registry: r,

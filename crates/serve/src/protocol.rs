@@ -13,10 +13,12 @@
 //! `u32 width | u32 height | width*height*3` RGB bytes, compressed
 //! streams as `u32 len | bytes`.
 //!
-//! Requests on one connection are handled strictly in arrival order and
-//! replies come back in the same order, which is what lets
-//! [`crate::Pipeline`] keep a window of requests in flight without tagging
-//! frames. The complete wire specification — every opcode, status byte,
+//! On a v1 connection replies come back in arrival order — the service
+//! admits one request at a time, and each waits for its predecessor's
+//! reply to be written — which is what lets [`crate::Pipeline`] keep a
+//! window of requests in flight without tagging frames. Once a `Hello`
+//! grants [`FEATURE_TAGGED`], every frame carries a tag and replies come
+//! back in completion order. The complete wire specification — every opcode, status byte,
 //! streamed exchange, and the reconnect/replay and pipelining contracts —
 //! lives in `docs/PROTOCOL.md` and is checked against this module's
 //! constants by `tests/protocol_doc.rs`.

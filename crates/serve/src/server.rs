@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -47,12 +47,6 @@ pub struct ServerConfig {
     /// takes at least this long is logged to stderr with its opcode and
     /// wall time (`deepn serve --slow-ms`). `None` disables the log.
     pub slow_threshold: Option<Duration>,
-    /// Per-connection in-flight window under tagged framing (protocol
-    /// v2): how many of one connection's requests may execute
-    /// concurrently before the reader stops admitting new frames. The
-    /// cap is what bounds the completed-reply buffer — workers never
-    /// block on a slow client's writer.
-    pub tagged_window: usize,
 }
 
 impl Default for ServerConfig {
@@ -67,10 +61,17 @@ impl Default for ServerConfig {
             max_connections: 64,
             request_timeout: Some(Duration::from_secs(30)),
             slow_threshold: None,
-            tagged_window: 16,
         }
     }
 }
+
+/// Per-connection in-flight window under tagged framing (protocol v2):
+/// how many of one connection's requests may be admitted at once before
+/// the reader stops reading new frames. The cap is what bounds the
+/// completed-reply buffer — workers never block on a slow client's
+/// writer. Until a `Hello` grants tagged framing the window is 1, which
+/// is what keeps v1 replies in arrival order.
+const TAGGED_WINDOW: usize = 16;
 
 /// A point-in-time copy of the service counters and configuration,
 /// as returned by [`crate::Client::stats`].
@@ -112,55 +113,21 @@ pub struct StatsSnapshot {
     pub tagged_requests: u64,
 }
 
-/// One unit of work: a single image (or stream) from a batch request.
-enum JobRequest {
-    Encode(RgbImage),
-    Decode(Vec<u8>),
-    Classify(RgbImage),
-}
-
-enum JobResult {
-    Bytes(Vec<u8>),
-    Image(RgbImage),
-    Label(usize),
-}
-
-/// One queued unit of pool work: a v1 fan-out item, or a whole tagged
-/// (protocol v2) request executed inline by one worker — intra-image
-/// parallelism still fans out on the shared `deepn-parallel` pool, but
-/// the request occupies a single queue slot and a single worker, so a
-/// tagged connection's window can run *across* workers without nested
-/// fan-out ever deadlocking the bounded queue.
-enum Job {
-    Item(ItemJob),
-    Whole(WholeJob),
-}
-
-struct ItemJob {
-    index: usize,
-    req: JobRequest,
-    reply: mpsc::Sender<(usize, Result<JobResult, String>)>,
-    /// Set when the submitting request gave up (deadline); workers skip
-    /// cancelled jobs instead of computing results nobody collects.
-    cancelled: Arc<AtomicBool>,
+/// One queued unit of pool work: a whole request, executed by one
+/// worker. Intra-image parallelism still fans out on the shared
+/// `deepn-parallel` pool, but the request occupies a single queue slot
+/// and a single worker, so a tagged connection's window can run
+/// *across* workers without nested fan-out ever deadlocking the bounded
+/// queue. The worker builds the complete reply body (status byte
+/// included) and hands it to the connection's writer thread.
+struct Job {
+    work: WholeWork,
+    meta: ReqMeta,
+    deadline: Option<(Duration, Instant)>,
     /// Trace timestamp of the (last) submission attempt, for the
     /// queue-wait histogram and span.
     submitted_ns: u64,
-}
-
-/// A whole tagged request: the worker loops the batch items inline,
-/// builds the complete reply body (status byte included), and hands it
-/// to the connection's writer thread.
-struct WholeJob {
-    work: WholeWork,
-    tag: u32,
     reply: ReplySink,
-    deadline: Option<(Duration, Instant)>,
-    submitted_ns: u64,
-    /// Frame-read timestamp — the whole-request clock the writer closes.
-    start_ns: u64,
-    req_id: u64,
-    span: &'static str,
 }
 
 enum WholeWork {
@@ -170,10 +137,10 @@ enum WholeWork {
 }
 
 /// Requests at or under this cost (pixels for encode, compressed bytes
-/// for decode) may run inline on a quiet tagged connection's reader
-/// instead of the pool: small enough that holding the reader off the
-/// socket costs less than two thread hand-offs, while anything larger
-/// keeps the window's out-of-order concurrency.
+/// for decode) may run inline on a quiet connection's reader instead of
+/// the pool: small enough that holding the reader off the socket costs
+/// less than two thread hand-offs, while anything larger keeps the
+/// window's out-of-order concurrency.
 const INLINE_WORK_BUDGET: usize = 4096;
 
 impl WholeWork {
@@ -185,6 +152,31 @@ impl WholeWork {
             WholeWork::Encode(images) => images.iter().map(|i| i.width() * i.height()).sum(),
             WholeWork::Decode(blobs) => blobs.iter().map(Vec::len).sum(),
             WholeWork::Classify(_) => usize::MAX,
+        }
+    }
+}
+
+/// One thread's codec state: the service's encoder and decoder with
+/// their workspaces, reused across every request the thread ever runs —
+/// after the first image of a given width, the block-strip hot loops
+/// allocate nothing. Each pool worker owns one, and so does each
+/// connection reader for its inline and streamed work.
+struct Codec {
+    encoder: Encoder,
+    decoder: Decoder,
+    enc_ws: EncodeWorkspace,
+    dec_ws: DecodeWorkspace,
+    model: Option<Arc<Sequential>>,
+}
+
+impl Codec {
+    fn new(tables: &QuantTablePair, model: Option<Arc<Sequential>>) -> Codec {
+        Codec {
+            encoder: Encoder::with_tables(tables.clone()),
+            decoder: Decoder::new(),
+            enc_ws: EncodeWorkspace::new(),
+            dec_ws: DecodeWorkspace::new(),
+            model,
         }
     }
 }
@@ -254,8 +246,6 @@ impl Server {
         config.workers = config.workers.max(1);
         config.queue_depth = config.queue_depth.max(1);
         config.max_connections = config.max_connections.max(1);
-        // A zero tagged window would admit nothing after negotiation.
-        config.tagged_window = config.tagged_window.max(1);
         // Honor DEEPN_TRACE=1 and DEEPN_LOG for servers embedded in other
         // binaries; never disables tracing a host process enabled
         // explicitly.
@@ -297,12 +287,9 @@ impl Server {
         let mut workers = Vec::with_capacity(self.config.workers);
         for _ in 0..self.config.workers {
             let rx = Arc::clone(&job_rx);
-            let tables = Arc::clone(&self.tables);
-            let model = self.model.clone();
+            let codec = Codec::new(&self.tables, self.model.clone());
             let metrics = Arc::clone(&self.counters);
-            workers.push(thread::spawn(move || {
-                worker_loop(&rx, &tables, model, &metrics)
-            }));
+            workers.push(thread::spawn(move || worker_loop(&rx, codec, &metrics)));
         }
         let addr = self
             .listener
@@ -433,49 +420,93 @@ impl Drop for CloseLogger {
     }
 }
 
-/// One completed tagged reply on its way to the connection's writer
-/// thread: the v1-shaped reply body plus everything the writer needs to
-/// close out the request's observability (the tagged path's equivalent
-/// of [`RequestTimer`], which cannot be used because the request no
-/// longer completes within the reader's scope).
-struct TaggedReply {
+/// Who a request is and when it started, carried from the reader to the
+/// code that closes the request out after its reply is written.
+#[derive(Clone, Copy)]
+struct ReqMeta {
+    /// The request's key in the connection's [`TagWindow`]: the wire
+    /// tag under tagged framing, the reader's own request number under
+    /// v1.
     tag: u32,
-    /// `status | payload` — the writer prefixes the tag on the wire.
-    body: Vec<u8>,
-    /// Whether writing this reply retires `tag` from the in-flight
-    /// window. `false` for duplicate-tag error replies, whose tag still
-    /// belongs to the original in-flight request.
-    release: bool,
+    /// Whether the request arrived tagged, so its reply goes out
+    /// tag-prefixed.
+    tagged: bool,
     req_id: u64,
     span: &'static str,
     /// Frame-read timestamp (whole-request clock).
     start_ns: u64,
-    /// Execution-complete timestamp (start of the reply-buffer wait).
+}
+
+impl ReqMeta {
+    /// The tag the reply frame carries on the wire, if any.
+    fn wire_tag(&self) -> Option<u32> {
+        self.tagged.then_some(self.tag)
+    }
+}
+
+/// One completed reply on its way to the socket: the reply body plus
+/// everything needed to close out the request's observability after the
+/// write.
+struct Reply {
+    meta: ReqMeta,
+    /// `status | payload` — the writer prefixes the tag on the wire.
+    body: Vec<u8>,
+    /// Whether writing this reply retires its tag from the in-flight
+    /// window. `false` for duplicate-tag error replies, whose tag still
+    /// belongs to the original in-flight request.
+    release: bool,
+    /// Completion timestamp (start of the reply-buffer wait).
     done_ns: u64,
     status: &'static str,
 }
 
-/// The producer half of a tagged connection's reply queue. Unbounded so
-/// pool workers never block on one connection's slow writer; occupancy
-/// is bounded anyway because the reader admits at most `tagged_window`
+impl Reply {
+    /// The reply to `meta`: its ok-payload behind a [`STATUS_OK`] byte,
+    /// or its typed error frame.
+    fn new(meta: ReqMeta, outcome: Result<Vec<u8>, ServeError>) -> Reply {
+        let (body, status) = match outcome {
+            Ok(payload) => {
+                let mut body = Vec::with_capacity(1 + payload.len());
+                body.push(STATUS_OK);
+                body.extend_from_slice(&payload);
+                (body, "ok")
+            }
+            Err(e) => {
+                let status = error_status(&e);
+                (error_reply(e), status)
+            }
+        };
+        Reply {
+            meta,
+            body,
+            release: true,
+            done_ns: deepn_trace::tick(),
+            status,
+        }
+    }
+}
+
+/// The producer half of a connection's reply queue. Unbounded so pool
+/// workers never block on one connection's slow writer; occupancy is
+/// bounded anyway because the reader admits at most a window of
 /// requests into flight.
 #[derive(Clone)]
 struct ReplySink {
-    tx: mpsc::Sender<TaggedReply>,
+    tx: mpsc::Sender<Reply>,
     /// Completed-but-unwritten replies queued for the writer.
     pending: Arc<AtomicUsize>,
     /// Replies ever handed to the writer; paired with
-    /// [`ReplySink::written`] to detect a fully idle writer (see
-    /// `serve_tagged`'s quiet-connection fast path).
+    /// [`ReplySink::written`] to detect a fully idle writer (see the
+    /// quiet-connection path in [`ConnCtx::serve`]).
     enqueued: Arc<AtomicUsize>,
-    /// Replies the writer has fully delivered (socket write, metrics,
-    /// and tag release all done).
+    /// Replies the writer has fully delivered (socket write and metrics
+    /// done).
     written: Arc<AtomicUsize>,
     metrics: Arc<ServeMetrics>,
 }
 
 impl ReplySink {
-    fn send(&self, reply: TaggedReply) {
+    fn send(&self, reply: Reply) {
         let occupancy = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         self.metrics
             .reply_buffer_high_water
@@ -486,21 +517,20 @@ impl ReplySink {
     }
 
     /// True when every reply ever enqueued has been fully delivered —
-    /// the writer thread is parked in `recv` and owns no socket write.
-    /// Only the reader enqueues new cheap replies, and workers can only
-    /// enqueue while their tag is in the window, so the caller can
-    /// combine this with a window check to claim the socket briefly.
+    /// the writer thread owns no socket write. Only the reader enqueues
+    /// new cheap replies, and workers can only enqueue while their tag
+    /// is in the window, so the caller can combine this with a window
+    /// check to claim the socket briefly.
     fn writer_idle(&self) -> bool {
         let enqueued = self.enqueued.load(Ordering::SeqCst);
         self.written.load(Ordering::SeqCst) >= enqueued
     }
 }
 
-/// A tagged connection's in-flight window: the set of admitted tags,
-/// bounded by `tagged_window`. The reader blocks admission while the
-/// window is full; the writer releases a tag after its reply is written.
+/// A connection's in-flight window: the set of admitted tags. The reader
+/// blocks admission while the window is full; a reply's tag is released
+/// after the reply is written.
 struct TagWindow {
-    limit: usize,
     tags: Mutex<std::collections::HashSet<u32>>,
     freed: Condvar,
 }
@@ -518,16 +548,16 @@ enum Admit {
 }
 
 impl TagWindow {
-    fn new(limit: usize) -> Self {
+    fn new() -> Self {
         TagWindow {
-            limit: limit.max(1),
             tags: Mutex::new(std::collections::HashSet::new()),
             freed: Condvar::new(),
         }
     }
 
-    /// Admits `tag` into the window, waiting for room when it is full.
-    fn admit(&self, tag: u32, shutdown: &AtomicBool) -> Admit {
+    /// Admits `tag` into a window of `limit` tags, waiting for room when
+    /// it is full.
+    fn admit(&self, tag: u32, limit: usize, shutdown: &AtomicBool) -> Admit {
         let Ok(mut tags) = self.tags.lock() else {
             return Admit::Shutdown;
         };
@@ -535,7 +565,7 @@ impl TagWindow {
             if tags.contains(&tag) {
                 return Admit::Duplicate;
             }
-            if tags.len() < self.limit {
+            if tags.len() < limit {
                 tags.insert(tag);
                 return Admit::Admitted {
                     sole: tags.len() == 1,
@@ -559,64 +589,82 @@ impl TagWindow {
     }
 }
 
-/// Writes one tagged reply to the socket and closes out the request's
-/// metrics, spans, and structured events. Shared by the writer thread
-/// and the reader's quiet-connection fast path, so both deliver
-/// byte-identical frames with identical observability. Returns `true`
-/// if the socket write failed (the peer is gone).
-fn deliver_tagged_reply(
+/// Writes one reply frame — `u32 tag`-prefixed when `tag` is set —
+/// counting its bytes and timing the write. Returns whether the write
+/// succeeded.
+fn write_frame_timed(
     stream: &mut TcpStream,
-    reply: &TaggedReply,
+    tag: Option<u32>,
+    body: &[u8],
+    metrics: &ServeMetrics,
+) -> bool {
+    let start = deepn_trace::tick();
+    let (result, header) = match tag {
+        Some(tag) => (protocol::write_tagged_frame(stream, tag, body), 8),
+        None => (protocol::write_frame(stream, body), 4),
+    };
+    let end = deepn_trace::tick();
+    metrics.add(Ctr::BytesOut, header + body.len() as u64);
+    metrics
+        .reply_write_seconds
+        .record_ns(end.saturating_sub(start));
+    deepn_trace::record_span("serve.reply_write", start, end);
+    result.is_ok()
+}
+
+/// Delivers one completed reply and closes out its request: records how
+/// long the reply waited, writes it unless the peer is already `dead`,
+/// then records the request histogram and span and emits the structured
+/// `request` / `request_timeout` / `request_error` / `slow_request`
+/// events. Shared by the writer thread and the reader's quiet path, so
+/// every request — streamed ones included — is closed out by this one
+/// function. Returns whether the peer is gone.
+fn deliver_reply(
+    stream: &mut TcpStream,
+    reply: &Reply,
+    dead: bool,
     metrics: &ServeMetrics,
     conn_id: u64,
     slow: Option<Duration>,
 ) -> bool {
-    let write_start = deepn_trace::tick();
-    metrics.add(Ctr::BytesOut, 8 + reply.body.len() as u64);
-    let dead = protocol::write_tagged_frame(stream, reply.tag, &reply.body).is_err();
+    let wait_end = deepn_trace::tick();
+    metrics
+        .reply_wait_seconds
+        .record_ns(wait_end.saturating_sub(reply.done_ns));
+    deepn_trace::record_span("serve.reply_wait", reply.done_ns, wait_end);
+    let meta = &reply.meta;
+    let dead = dead || !write_frame_timed(stream, meta.wire_tag(), &reply.body, metrics);
     let end = deepn_trace::tick();
-    metrics
-        .reply_write_seconds
-        .record_ns(end.saturating_sub(write_start));
-    deepn_trace::record_span("serve.reply_write", write_start, end);
-    metrics
-        .request_seconds
-        .record_ns(end.saturating_sub(reply.start_ns));
-    deepn_trace::record_span(reply.span, reply.start_ns, end);
-    let op = reply
+    let dur_ns = end.saturating_sub(meta.start_ns);
+    metrics.request_seconds.record_ns(dur_ns);
+    deepn_trace::record_span(meta.span, meta.start_ns, end);
+    let op = meta
         .span
         .strip_prefix("serve.request.")
-        .unwrap_or(reply.span);
-    let ms = format!("{:.3}", end.saturating_sub(reply.start_ns) as f64 / 1e6);
-    log::trace("request")
-        .field("conn_id", conn_id)
-        .field("req_id", reply.req_id)
-        .field("tag", reply.tag)
-        .field("op", op)
+        .unwrap_or(meta.span);
+    let ms = format!("{:.3}", dur_ns as f64 / 1e6);
+    // The correlation fields every per-request event leads with; `tag`
+    // only where the client chose one.
+    let event = |ev: log::Event| {
+        let ev = ev.field("conn_id", conn_id).field("req_id", meta.req_id);
+        let ev = match meta.wire_tag() {
+            Some(tag) => ev.field("tag", tag),
+            None => ev,
+        };
+        ev.field("op", op)
+    };
+    event(log::trace("request"))
         .field("status", reply.status)
         .field("ms", &ms)
         .emit();
-    if matches!(reply.status, "timeout" | "error") {
-        let name = if reply.status == "timeout" {
-            "request_timeout"
-        } else {
-            "request_error"
-        };
-        log::warn(name)
-            .field("conn_id", conn_id)
-            .field("req_id", reply.req_id)
-            .field("tag", reply.tag)
-            .field("op", op)
-            .field("ms", &ms)
-            .emit();
+    match reply.status {
+        "timeout" => event(log::warn("request_timeout")).field("ms", &ms).emit(),
+        "error" => event(log::warn("request_error")).field("ms", &ms).emit(),
+        _ => {}
     }
     if let Some(t) = slow {
-        if end.saturating_sub(reply.start_ns) >= t.as_nanos() as u64 {
-            log::warn("slow_request")
-                .field("conn_id", conn_id)
-                .field("req_id", reply.req_id)
-                .field("tag", reply.tag)
-                .field("op", op)
+        if dur_ns >= t.as_nanos() as u64 {
+            event(log::warn("slow_request"))
                 .field("ms", &ms)
                 .field("threshold_ms", format!("{:.3}", t.as_nanos() as f64 / 1e6))
                 .emit();
@@ -625,52 +673,13 @@ fn deliver_tagged_reply(
     dead
 }
 
-/// The writer half of a tagged connection: drains the reply queue onto
-/// the socket in completion order, closing out each request's metrics,
-/// span, and structured events, and releasing its tag from the window.
-/// Exits once every [`ReplySink`] clone (reader + queued jobs) is gone.
-#[allow(clippy::too_many_arguments)]
-fn tagged_writer_loop(
-    mut stream: TcpStream,
-    rx: &Receiver<TaggedReply>,
-    window: &TagWindow,
-    pending: &AtomicUsize,
-    written: &AtomicUsize,
-    metrics: &ServeMetrics,
-    conn_id: u64,
-    slow: Option<Duration>,
-) {
-    // After a write failure the peer is gone; later replies are drained
-    // (tags released, accounting closed) without touching the socket.
-    let mut dead = false;
-    while let Ok(reply) = rx.recv() {
-        pending.fetch_sub(1, Ordering::SeqCst);
-        let write_start = deepn_trace::tick();
-        metrics
-            .reply_wait_seconds
-            .record_ns(write_start.saturating_sub(reply.done_ns));
-        deepn_trace::record_span("serve.reply_wait", reply.done_ns, write_start);
-        if !dead {
-            dead = deliver_tagged_reply(&mut stream, &reply, metrics, conn_id, slow);
-        }
-        if reply.release {
-            window.release(reply.tag);
-        }
-        // Advanced only after release: once `written` catches up with
-        // `enqueued`, this thread is provably back in `recv` with no
-        // socket write or window bookkeeping outstanding.
-        written.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// A tagged connection's writer thread, spawned on first use: a serial
-/// client whose every request takes the reader's quiet fast path never
-/// pays the thread spawn at all — which matters under connection churn,
-/// where the spawn would otherwise tax every reconnect. The reader must
-/// call [`ensure`](LazyWriter::ensure) before the first reply (its own
-/// or a pool job's) can reach the queue.
-struct LazyWriter {
-    parts: Option<(TcpStream, Receiver<TaggedReply>)>,
+/// The writer half of a connection: drains the reply queue onto the
+/// socket in completion order and releases each reply's tag from the
+/// window. Exits once every [`ReplySink`] clone (reader + queued jobs)
+/// is gone.
+struct Writer {
+    stream: TcpStream,
+    rx: Receiver<Reply>,
     window: Arc<TagWindow>,
     pending: Arc<AtomicUsize>,
     written: Arc<AtomicUsize>,
@@ -679,29 +688,116 @@ struct LazyWriter {
     slow: Option<Duration>,
 }
 
-impl LazyWriter {
-    fn ensure(&mut self) {
-        let Some((stream, rx)) = self.parts.take() else {
-            return;
-        };
-        let window = Arc::clone(&self.window);
-        let pending = Arc::clone(&self.pending);
-        let written = Arc::clone(&self.written);
-        let metrics = Arc::clone(&self.metrics);
-        let conn_id = self.conn_id;
-        let slow = self.slow;
-        // Detached on purpose: queued jobs hold `ReplySink` clones, so
-        // the writer outlives the reader exactly until the last
-        // in-flight reply is delivered (or drained to a dead socket).
-        thread::spawn(move || {
-            tagged_writer_loop(
-                stream, &rx, &window, &pending, &written, &metrics, conn_id, slow,
-            )
-        });
+impl Writer {
+    fn run(mut self) {
+        // After a write failure the peer is gone; later replies are
+        // drained (requests closed out, tags released) without touching
+        // the socket.
+        let mut dead = false;
+        while let Ok(reply) = self.rx.recv() {
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+            dead = deliver_reply(
+                &mut self.stream,
+                &reply,
+                dead,
+                &self.metrics,
+                self.conn_id,
+                self.slow,
+            );
+            // Advanced before the release, so a reader that finds the
+            // window empty also finds the writer idle: once `written`
+            // catches up with `enqueued`, this thread touches the socket
+            // again only for a reply enqueued later.
+            self.written.fetch_add(1, Ordering::SeqCst);
+            if reply.release {
+                self.window.release(reply.meta.tag);
+            }
+        }
     }
 }
 
+/// The reader's side of one connection: its socket, its in-flight
+/// window, and the reply queue it shares with pool jobs.
+struct Conn {
+    stream: TcpStream,
+    window: Arc<TagWindow>,
+    replies: ReplySink,
+    /// The connection's writer thread, until first use spawns it: a
+    /// serial client whose every request takes the quiet path never pays
+    /// the thread spawn at all — which matters under connection churn,
+    /// where the spawn would otherwise tax every reconnect.
+    writer: Option<Writer>,
+    conn_id: u64,
+    slow: Option<Duration>,
+}
+
+impl Conn {
+    /// Hands a reply to the writer thread, spawning it first if this is
+    /// the connection's first queued reply.
+    fn queue(&mut self, reply: Reply) {
+        self.spawn_writer();
+        self.replies.send(reply);
+    }
+
+    /// Spawns the writer thread if it is not running yet. Must run
+    /// before anything (a reply or a pool job holding the sink) can
+    /// reach the queue.
+    fn spawn_writer(&mut self) {
+        // Detached on purpose: queued jobs hold `ReplySink` clones, so
+        // the writer outlives the reader exactly until the last
+        // in-flight reply is delivered (or drained to a dead socket).
+        if let Some(writer) = self.writer.take() {
+            thread::spawn(move || writer.run());
+        }
+    }
+
+    /// Delivers a reply the reader produced itself. On a quiet
+    /// connection — the request is the window's only occupant and the
+    /// writer has drained — no other reply can exist or appear (workers
+    /// need an admitted tag, and only the reader admits), so the reader
+    /// writes the reply itself: byte-identical, but without the
+    /// writer-thread hand-off that costs two context switches per
+    /// request. Otherwise the reply queues for the writer.
+    fn answer(&mut self, quiet: bool, reply: Reply) {
+        if !quiet {
+            self.queue(reply);
+            return;
+        }
+        // A failed write surfaces on the next read as EOF/error.
+        deliver_reply(
+            &mut self.stream,
+            &reply,
+            false,
+            &self.replies.metrics,
+            self.conn_id,
+            self.slow,
+        );
+        self.window.release(reply.meta.tag);
+    }
+}
+
+/// Splits a request (tag already removed) into its opcode and payload.
+fn parse_op(request: &[u8]) -> Result<(Opcode, &[u8]), ServeError> {
+    let (&b, payload) = request
+        .split_first()
+        .ok_or_else(|| ServeError::Protocol("empty request frame".into()))?;
+    let op =
+        Opcode::from_u8(b).ok_or_else(|| ServeError::Protocol(format!("unknown opcode {b}")))?;
+    Ok((op, payload))
+}
+
 impl ConnCtx {
+    /// Serves one connection. Every request, v1 or tagged, takes the
+    /// same path: the reader admits it into the connection's
+    /// [`TagWindow`], then answers it itself (cheap ops, small work on a
+    /// quiet connection, typed rejections, and the v1-only ops) or
+    /// submits it whole to the worker pool, whose reply a per-connection
+    /// writer thread delivers. Until a `Hello` grants tagged framing the
+    /// reader numbers requests itself and the window holds one request,
+    /// so each request waits for its predecessor's reply to be written
+    /// and v1 replies leave in arrival order; after the grant, frames
+    /// carry client-chosen tags and up to [`TAGGED_WINDOW`] requests
+    /// execute at once, answered in completion order.
     fn serve(self, mut stream: TcpStream, guard: ConnGuard) {
         let _ = stream.set_nodelay(true);
         if self.limited {
@@ -770,173 +866,10 @@ impl ConnCtx {
         // The timeout bounds how long a dead-idle connection pins this
         // thread after shutdown; it is not a per-request deadline.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        // Per-connection codec state for the streaming ops: the standard-
-        // Huffman encoder (single-pass streaming cannot rewind the peer
-        // for an optimized-table analysis pass) and the strip workspaces,
-        // all reused across every streamed image on this connection.
-        let stream_encoder = Encoder::with_tables((*self.tables).clone()).optimize_huffman(false);
-        let mut stream_ws = EncodeWorkspace::new();
-        let mut stream_strip = PixelStrip::new();
-        let stream_decoder = Decoder::new();
-        let mut stream_dec_ws = DecodeWorkspace::new();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match protocol::read_frame(&mut stream) {
-                Ok(None) => return,
-                Ok(Some(body)) => {
-                    self.counters.inc(Ctr::Requests);
-                    self.counters.add(Ctr::BytesIn, 4 + body.len() as u64);
-                    let req_id = closer.requests.get() + 1;
-                    closer.requests.set(req_id);
-                    // One whole-request observation per frame, whichever of
-                    // the three handling paths it takes: the timer fires on
-                    // scope exit (including early returns), recording the
-                    // request histogram, the per-opcode span, and the
-                    // structured request/slow-request events.
-                    let op_name = opcode_span_name(body.first().copied());
-                    let req_timer = RequestTimer {
-                        metrics: &self.counters,
-                        slow: self.config.slow_threshold,
-                        name: op_name,
-                        start_ns: deepn_trace::tick(),
-                        conn_id: self.conn_id,
-                        req_id,
-                        status: Cell::new("ok"),
-                    };
-                    if body.first() == Some(&(Opcode::Hello as u8)) {
-                        // Feature negotiation. Granting FEATURE_TAGGED
-                        // switches the rest of the connection — both
-                        // directions — to tagged framing, so it cannot go
-                        // through the one-frame `handle` path either.
-                        let requested = ByteReader::new(&body[1..]).u32().unwrap_or(0);
-                        let granted = requested & protocol::FEATURE_TAGGED;
-                        let mut w = ByteWriter::new();
-                        w.put_u8(STATUS_OK);
-                        w.put_u32(granted);
-                        if !self.write_reply(&mut stream, w.as_bytes()) {
-                            return;
-                        }
-                        if granted & protocol::FEATURE_TAGGED != 0 {
-                            self.counters.inc(Ctr::TaggedConnections);
-                            log::debug("conn_tagged")
-                                .field("conn_id", self.conn_id)
-                                .field("window", self.config.tagged_window)
-                                .emit();
-                            // Close the Hello's own observability before
-                            // the tagged loop takes over the connection.
-                            drop(req_timer);
-                            self.serve_tagged(&mut stream, &closer);
-                            return;
-                        }
-                        continue;
-                    }
-                    if body.first() == Some(&(Opcode::CompressStream as u8)) {
-                        // The streaming op owns the connection until its
-                        // last strip frame: it cannot go through the
-                        // one-frame `handle` path.
-                        let reply = match self.compress_stream(
-                            &mut stream,
-                            &body[1..],
-                            &stream_encoder,
-                            &mut stream_ws,
-                            &mut stream_strip,
-                        ) {
-                            Ok(payload) => {
-                                let mut reply = Vec::with_capacity(1 + payload.len());
-                                reply.push(STATUS_OK);
-                                reply.extend_from_slice(&payload);
-                                reply
-                            }
-                            Err(e) => {
-                                // After a mid-stream failure the frame
-                                // boundary with the peer is unknown:
-                                // answer with a typed frame, then close.
-                                req_timer.fail(&e);
-                                let reply = error_reply(e);
-                                self.write_reply(&mut stream, &reply);
-                                return;
-                            }
-                        };
-                        if !self.write_reply(&mut stream, &reply) {
-                            return;
-                        }
-                        continue;
-                    }
-                    if body.first() == Some(&(Opcode::DecompressStream as u8)) {
-                        // The streaming reply owns the connection until its
-                        // last strip frame. Unlike `CompressStream`, every
-                        // failure here still lands on a frame boundary (the
-                        // request was one frame, and error frames replace
-                        // strip frames), so the connection stays usable.
-                        if !self.decompress_stream(
-                            &mut stream,
-                            &body[1..],
-                            &stream_decoder,
-                            &mut stream_dec_ws,
-                            &mut stream_strip,
-                            &req_timer,
-                        ) {
-                            return;
-                        }
-                        continue;
-                    }
-                    let (reply, stop) = self.handle(&body);
-                    match reply.first().copied() {
-                        Some(STATUS_ERR) => req_timer.set_status("error"),
-                        Some(STATUS_BUSY) => req_timer.set_status("busy"),
-                        Some(STATUS_TIMEOUT) => req_timer.set_status("timeout"),
-                        _ => {}
-                    }
-                    if !self.write_reply(&mut stream, &reply) {
-                        return;
-                    }
-                    if stop {
-                        self.shutdown.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
-                Err(ServeError::Io(e))
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Writes a reply frame, counting its bytes and timing the write;
-    /// returns false when the connection is gone.
-    fn write_reply(&self, stream: &mut TcpStream, reply: &[u8]) -> bool {
-        self.counters.add(Ctr::BytesOut, 4 + reply.len() as u64);
-        let start = deepn_trace::tick();
-        let ok = protocol::write_frame(stream, reply).is_ok();
-        let end = deepn_trace::tick();
-        self.counters
-            .reply_write_seconds
-            .record_ns(end.saturating_sub(start));
-        deepn_trace::record_span("serve.reply_write", start, end);
-        ok
-    }
-
-    /// The tagged (protocol v2) serve loop, entered after a `Hello`
-    /// granted [`protocol::FEATURE_TAGGED`]. The reader admits up to
-    /// `tagged_window` of this connection's requests into flight at
-    /// once: work ops run **whole** on the shared worker pool (one
-    /// queue slot, one worker each), cheap ops are answered inline, and
-    /// a dedicated writer thread delivers replies tag-matched in
-    /// completion order — out of order relative to submission. The
-    /// window admission is the backpressure: the reply queue is
-    /// unbounded so workers never block on a slow client, but it can
-    /// never hold more than `tagged_window` replies.
-    fn serve_tagged(&self, stream: &mut TcpStream, closer: &CloseLogger) {
         let write_stream = match stream.try_clone() {
             Ok(s) => s,
             Err(e) => {
-                log::warn("conn_tagged_split_failed")
+                log::warn("conn_split_failed")
                     .field("conn_id", self.conn_id)
                     .field("error", e.to_string())
                     .emit();
@@ -944,36 +877,46 @@ impl ConnCtx {
             }
         };
         let (reply_tx, reply_rx) = mpsc::channel();
-        let pending = Arc::new(AtomicUsize::new(0));
-        let written = Arc::new(AtomicUsize::new(0));
-        let window = Arc::new(TagWindow::new(self.config.tagged_window));
+        let window = Arc::new(TagWindow::new());
         let replies = ReplySink {
             tx: reply_tx,
-            pending: Arc::clone(&pending),
+            pending: Arc::new(AtomicUsize::new(0)),
             enqueued: Arc::new(AtomicUsize::new(0)),
-            written: Arc::clone(&written),
+            written: Arc::new(AtomicUsize::new(0)),
             metrics: Arc::clone(&self.counters),
         };
-        let mut writer = LazyWriter {
-            parts: Some((write_stream, reply_rx)),
+        let writer = Writer {
+            stream: write_stream,
+            rx: reply_rx,
             window: Arc::clone(&window),
-            pending,
-            written,
+            pending: Arc::clone(&replies.pending),
+            written: Arc::clone(&replies.written),
             metrics: Arc::clone(&self.counters),
             conn_id: self.conn_id,
             slow: self.config.slow_threshold,
         };
-        // Codec state for the quiet-connection inline path, mirroring
-        // the pool workers' setup so inline replies are byte-identical.
-        let inline_encoder = Encoder::with_tables((*self.tables).clone());
-        let inline_decoder = Decoder::new();
-        let mut inline_enc_ws = EncodeWorkspace::new();
-        let mut inline_dec_ws = DecodeWorkspace::new();
+        let mut conn = Conn {
+            stream,
+            window,
+            replies,
+            writer: Some(writer),
+            conn_id: self.conn_id,
+            slow: self.config.slow_threshold,
+        };
+        // Codec state for the reader's own work, mirroring the pool
+        // workers' setup so inline replies are byte-identical. Streamed
+        // compression uses the standard-Huffman encoder: single-pass
+        // streaming cannot rewind the peer for an optimized-table
+        // analysis pass.
+        let mut codec = Codec::new(&self.tables, None);
+        let stream_encoder = codec.encoder.clone().optimize_huffman(false);
+        let mut strip = PixelStrip::new();
+        let mut tagged = false;
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let body = match protocol::read_frame(stream) {
+            let body = match protocol::read_frame(&mut conn.stream) {
                 Ok(Some(body)) => body,
                 Ok(None) => return,
                 Err(ServeError::Io(e))
@@ -985,291 +928,173 @@ impl ConnCtx {
                 Err(_) => return,
             };
             self.counters.inc(Ctr::Requests);
-            self.counters.inc(Ctr::TaggedRequests);
             self.counters.add(Ctr::BytesIn, 4 + body.len() as u64);
             let req_id = closer.requests.get() + 1;
             closer.requests.set(req_id);
             let start_ns = deepn_trace::tick();
-            let Ok((tag, rest)) = protocol::split_tagged(&body) else {
-                // A frame too short to carry a tag cannot be answered
-                // tag-matched: the framing contract is broken, so close
-                // on this (still intact) frame boundary.
-                log::warn("tagged_runt_frame")
-                    .field("conn_id", self.conn_id)
-                    .field("req_id", req_id)
-                    .field("bytes", body.len())
-                    .emit();
-                return;
+            let (tag, request, limit) = if tagged {
+                self.counters.inc(Ctr::TaggedRequests);
+                let Ok((tag, request)) = protocol::split_tagged(&body) else {
+                    // A frame too short to carry a tag cannot be answered
+                    // tag-matched: the framing contract is broken, so
+                    // close on this (still intact) frame boundary.
+                    log::warn("tagged_runt_frame")
+                        .field("conn_id", self.conn_id)
+                        .field("req_id", req_id)
+                        .field("bytes", body.len())
+                        .emit();
+                    return;
+                };
+                (tag, request, TAGGED_WINDOW)
+            } else {
+                (req_id as u32, &body[..], 1)
             };
-            let span = opcode_span_name(rest.first().copied());
-            let (op, payload) = match rest.split_first() {
-                Some((&b, payload)) => match Opcode::from_u8(b) {
-                    Some(op) => (op, payload),
-                    None => {
-                        writer.ensure();
-                        reject_tagged(
-                            &replies,
-                            tag,
-                            req_id,
-                            span,
-                            start_ns,
-                            ServeError::Protocol(format!("unknown opcode {b}")),
-                            false,
-                        );
-                        continue;
-                    }
-                },
-                None => {
-                    writer.ensure();
-                    reject_tagged(
-                        &replies,
-                        tag,
-                        req_id,
-                        span,
-                        start_ns,
-                        ServeError::Protocol("empty request frame".into()),
-                        false,
-                    );
-                    continue;
-                }
+            let meta = ReqMeta {
+                tag,
+                tagged,
+                req_id,
+                span: opcode_span_name(request.first().copied()),
+                start_ns,
             };
-            // Ops that cannot run inside a tagged window are rejected
-            // with a typed frame *before* admission — never silently
-            // corrupted, and the connection stays usable.
-            match op {
-                Opcode::Hello => {
-                    writer.ensure();
-                    reject_tagged(
-                        &replies,
-                        tag,
-                        req_id,
-                        span,
-                        start_ns,
-                        ServeError::Protocol(
-                            "tagged framing is already negotiated on this connection".into(),
-                        ),
-                        false,
-                    );
-                    continue;
-                }
-                Opcode::CompressStream | Opcode::DecompressStream => {
-                    writer.ensure();
-                    reject_tagged(
-                        &replies,
-                        tag,
-                        req_id,
-                        span,
-                        start_ns,
-                        ServeError::Protocol(
-                            "streaming ops are not available on a tagged connection; \
-                             open an untagged (v1) connection"
-                                .into(),
-                        ),
-                        false,
-                    );
-                    continue;
-                }
-                _ => {}
-            }
-            let sole = match window.admit(tag, &self.shutdown) {
+            let quiet = match conn.window.admit(tag, limit, &self.shutdown) {
                 Admit::Shutdown => return,
                 Admit::Duplicate => {
-                    // `release: false`: this tag still belongs to the
-                    // original in-flight request, whose reply must not
-                    // be forgotten because of the client's reuse.
-                    writer.ensure();
-                    reject_tagged(
-                        &replies,
-                        tag,
-                        req_id,
-                        span,
-                        start_ns,
-                        ServeError::Protocol(format!(
-                            "tag {tag} is already in flight on this connection"
-                        )),
-                        false,
-                    );
+                    // Not admitted, so `release: false`: the tag still
+                    // belongs to the original in-flight request, whose
+                    // reply must not be forgotten because of the
+                    // client's reuse.
+                    let e = ServeError::Protocol(format!(
+                        "tag {tag} is already in flight on this connection"
+                    ));
+                    conn.queue(Reply {
+                        release: false,
+                        ..Reply::new(meta, Err(e))
+                    });
                     continue;
                 }
-                Admit::Admitted { sole } => sole,
+                // In a window of 1 this always holds: the predecessor's
+                // tag is released only after its reply was written, so
+                // the reader owns the socket — which the v1-only ops
+                // below rely on.
+                Admit::Admitted { sole } => sole && conn.replies.writer_idle(),
+            };
+            let (op, payload) = match parse_op(request) {
+                Ok(parsed) => parsed,
+                Err(e) => {
+                    conn.answer(quiet, Reply::new(meta, Err(e)));
+                    continue;
+                }
             };
             match op {
-                Opcode::Ping => {
-                    self.answer_cheap(
-                        stream,
-                        &replies,
-                        &window,
-                        &mut writer,
-                        sole,
-                        tag,
-                        vec![STATUS_OK],
-                        req_id,
-                        span,
-                        start_ns,
-                    );
-                }
-                Opcode::Stats => {
-                    let mut w = ByteWriter::new();
-                    w.put_u8(STATUS_OK);
-                    w.put_bytes(&self.stats_payload());
-                    self.answer_cheap(
-                        stream,
-                        &replies,
-                        &window,
-                        &mut writer,
-                        sole,
-                        tag,
-                        w.into_bytes(),
-                        req_id,
-                        span,
-                        start_ns,
-                    );
-                }
+                Opcode::Ping => conn.answer(quiet, Reply::new(meta, Ok(Vec::new()))),
+                Opcode::Stats => conn.answer(quiet, Reply::new(meta, Ok(self.stats_payload()))),
                 Opcode::Metrics => {
                     let mut w = ByteWriter::new();
-                    w.put_u8(STATUS_OK);
                     let active = self.active.load(Ordering::SeqCst) as u64;
                     w.put_string(&self.counters.render(active));
-                    self.answer_cheap(
-                        stream,
-                        &replies,
-                        &window,
-                        &mut writer,
-                        sole,
-                        tag,
-                        w.into_bytes(),
-                        req_id,
-                        span,
-                        start_ns,
-                    );
+                    conn.answer(quiet, Reply::new(meta, Ok(w.into_bytes())));
                 }
                 Opcode::Shutdown => {
-                    writer.ensure();
-                    replies.send(TaggedReply {
-                        tag,
-                        body: vec![STATUS_OK],
-                        release: true,
-                        req_id,
-                        span,
-                        start_ns,
-                        done_ns: deepn_trace::tick(),
-                        status: "ok",
-                    });
+                    conn.answer(quiet, Reply::new(meta, Ok(Vec::new())));
                     self.shutdown.store(true, Ordering::SeqCst);
                     return;
                 }
+                Opcode::Hello if !tagged => {
+                    // Feature negotiation. Granting FEATURE_TAGGED
+                    // switches every later frame, both directions, to
+                    // tagged framing; the grant itself goes out untagged,
+                    // and the window is empty once it is written.
+                    let requested = ByteReader::new(payload).u32().unwrap_or(0);
+                    let granted = requested & protocol::FEATURE_TAGGED;
+                    conn.answer(quiet, Reply::new(meta, Ok(granted.to_le_bytes().to_vec())));
+                    if granted != 0 {
+                        tagged = true;
+                        self.counters.inc(Ctr::TaggedConnections);
+                        log::debug("conn_tagged")
+                            .field("conn_id", self.conn_id)
+                            .field("window", TAGGED_WINDOW)
+                            .emit();
+                    }
+                }
+                Opcode::CompressStream if !tagged => {
+                    let outcome = self.compress_stream(
+                        &mut conn.stream,
+                        payload,
+                        &stream_encoder,
+                        &mut codec.enc_ws,
+                        &mut strip,
+                    );
+                    let failed = outcome.is_err();
+                    conn.answer(quiet, Reply::new(meta, outcome));
+                    // After a mid-stream failure the frame boundary with
+                    // the peer is unknown: the typed frame went out, now
+                    // close.
+                    if failed {
+                        return;
+                    }
+                }
+                Opcode::DecompressStream if !tagged => {
+                    let outcome = self.decompress_stream(
+                        &mut conn.stream,
+                        payload,
+                        &codec.decoder,
+                        &mut codec.dec_ws,
+                        &mut strip,
+                    );
+                    let peer_gone = matches!(outcome, Err(ServeError::Io(_)));
+                    conn.answer(quiet, Reply::new(meta, outcome));
+                    if peer_gone {
+                        return;
+                    }
+                }
+                // The v1-only ops inside a tagged window: typed errors,
+                // and the connection stays usable.
+                Opcode::Hello => {
+                    let e = ServeError::Protocol(
+                        "tagged framing is already negotiated on this connection".into(),
+                    );
+                    conn.answer(quiet, Reply::new(meta, Err(e)));
+                }
+                Opcode::CompressStream | Opcode::DecompressStream => {
+                    let e = ServeError::Protocol(
+                        "streaming ops are not available on a tagged connection; \
+                         open an untagged (v1) connection"
+                            .into(),
+                    );
+                    conn.answer(quiet, Reply::new(meta, Err(e)));
+                }
                 Opcode::EncodeBatch | Opcode::DecodeBatch | Opcode::Classify => {
                     match self.parse_work(op, payload) {
-                        Err(e) => {
-                            writer.ensure();
-                            reject_tagged(&replies, tag, req_id, span, start_ns, e, true);
-                        }
-                        Ok(work)
-                            if work.inline_cost() <= INLINE_WORK_BUDGET
-                                && sole
-                                && replies.writer_idle() =>
-                        {
+                        Err(e) => conn.answer(quiet, Reply::new(meta, Err(e))),
+                        Ok(work) if quiet && work.inline_cost() <= INLINE_WORK_BUDGET => {
                             // Quiet-connection inline execution: nothing
                             // else is in flight, so blocking the reader
                             // for this small request trades no window
                             // concurrency away and skips both thread
                             // hand-offs (pool submit, writer wake).
-                            let deadline =
-                                self.config.request_timeout.map(|t| (t, Instant::now() + t));
                             let reply = run_whole(
                                 work,
-                                tag,
-                                deadline,
+                                meta,
+                                self.deadline(),
                                 deepn_trace::tick(),
-                                start_ns,
-                                req_id,
-                                span,
-                                &inline_encoder,
-                                &inline_decoder,
-                                None,
-                                &mut inline_enc_ws,
-                                &mut inline_dec_ws,
+                                &mut codec,
                                 &self.counters,
                             );
-                            self.fast_deliver(stream, &window, reply);
+                            conn.answer(true, reply);
                         }
-                        Ok(work) => {
-                            writer.ensure();
-                            self.submit_whole(work, tag, &replies, req_id, span, start_ns);
-                        }
+                        Ok(work) => self.submit(&mut conn, work, meta),
                     }
                 }
-                // Rejected before admission; the match stays total
-                // without a panicking arm (panic-policy).
-                Opcode::Hello | Opcode::CompressStream | Opcode::DecompressStream => {}
             }
         }
     }
 
-    /// Answers a cheap tagged op (Ping/Stats/Metrics), preferring the
-    /// quiet-connection fast path: when `tag` is the window's only
-    /// occupant and the writer has fully drained, no other reply can
-    /// exist or appear (workers need an admitted tag, and only this
-    /// reader admits), so the reader may claim the socket and write the
-    /// reply itself — byte-identical, but without the writer-thread
-    /// hand-off that costs two context switches per request on a busy
-    /// single-core host. Serial tagged clients hit this path on every
-    /// cheap request, matching v1's inline-answer cost.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_cheap(
-        &self,
-        stream: &mut TcpStream,
-        replies: &ReplySink,
-        window: &TagWindow,
-        writer: &mut LazyWriter,
-        sole: bool,
-        tag: u32,
-        body: Vec<u8>,
-        req_id: u64,
-        span: &'static str,
-        start_ns: u64,
-    ) {
-        let reply = TaggedReply {
-            tag,
-            body,
-            release: true,
-            req_id,
-            span,
-            start_ns,
-            done_ns: deepn_trace::tick(),
-            status: "ok",
-        };
-        if sole && replies.writer_idle() {
-            self.fast_deliver(stream, window, reply);
-            return;
-        }
-        writer.ensure();
-        replies.send(reply);
+    /// The deadline of a request dispatched now, with its budget.
+    fn deadline(&self) -> Option<(Duration, Instant)> {
+        self.config.request_timeout.map(|t| (t, Instant::now() + t))
     }
 
-    /// Writes a reply on the reader thread, with the writer's exact
-    /// observability (one `reply_wait` sample per request either way),
-    /// then retires the tag. Only callable while the quiet-connection
-    /// invariant holds: the tag is the window's sole occupant and the
-    /// writer has fully drained, so nobody else can touch the socket.
-    fn fast_deliver(&self, stream: &mut TcpStream, window: &TagWindow, reply: TaggedReply) {
-        let write_start = deepn_trace::tick();
-        self.counters
-            .reply_wait_seconds
-            .record_ns(write_start.saturating_sub(reply.done_ns));
-        deepn_trace::record_span("serve.reply_wait", reply.done_ns, write_start);
-        // A failed write surfaces on the next read as EOF/error.
-        let _ = deliver_tagged_reply(
-            stream,
-            &reply,
-            &self.counters,
-            self.conn_id,
-            self.config.slow_threshold,
-        );
-        window.release(reply.tag);
-    }
-
-    /// Parses a tagged work op's payload into its whole-request job.
+    /// Parses a work op's payload into its whole-request job.
     fn parse_work(&self, op: Opcode, payload: &[u8]) -> Result<WholeWork, ServeError> {
         let mut r = ByteReader::new(payload);
         match op {
@@ -1306,87 +1131,45 @@ impl ConnCtx {
         }
     }
 
-    /// Submits one whole tagged request to the bounded pool queue,
-    /// honoring the per-request deadline during submission exactly like
-    /// the v1 fan-out path. Submission failures become typed replies on
-    /// the writer; the tag is released once that reply is written.
-    fn submit_whole(
-        &self,
-        work: WholeWork,
-        tag: u32,
-        replies: &ReplySink,
-        req_id: u64,
-        span: &'static str,
-        start_ns: u64,
-    ) {
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
-        let mut job = Job::Whole(WholeJob {
+    /// Submits one whole request to the bounded pool queue, retrying
+    /// while the queue is full but never past the request's deadline.
+    /// Submission failures become typed replies on the writer; the tag
+    /// is released once that reply is written.
+    fn submit(&self, conn: &mut Conn, work: WholeWork, meta: ReqMeta) {
+        // The job's reply goes through the writer thread.
+        conn.spawn_writer();
+        let deadline = self.deadline();
+        let mut job = Job {
             work,
-            tag,
-            reply: replies.clone(),
+            meta,
             deadline,
             submitted_ns: deepn_trace::tick(),
-            start_ns,
-            req_id,
-            span,
-        });
-        match &deadline {
-            None => {
-                if self.job_tx.send(job).is_err() {
-                    reject_tagged(
-                        replies,
-                        tag,
-                        req_id,
-                        span,
-                        start_ns,
-                        ServeError::Remote("service is shutting down".into()),
-                        true,
-                    );
+            reply: conn.replies.clone(),
+        };
+        let failure = loop {
+            match self.job_tx.try_send(job) {
+                Ok(()) => return,
+                Err(mpsc::TrySendError::Disconnected(_)) => {
+                    break ServeError::Remote("service is shutting down".into());
+                }
+                Err(mpsc::TrySendError::Full(back)) => {
+                    if let Some((budget, end)) = &deadline {
+                        if Instant::now() >= *end {
+                            self.counters.inc(Ctr::RequestsTimedOut);
+                            break ServeError::Timeout(format!(
+                                "request exceeded its {budget:?} budget"
+                            ));
+                        }
+                    }
+                    job = back;
+                    thread::sleep(Duration::from_millis(1));
+                    // Queue wait measures queued time, not the
+                    // submitter's backoff: restamp on each retry.
+                    job.submitted_ns = deepn_trace::tick();
                 }
             }
-            Some(d) => loop {
-                match self.job_tx.try_send(job) {
-                    Ok(()) => break,
-                    Err(mpsc::TrySendError::Disconnected(_)) => {
-                        reject_tagged(
-                            replies,
-                            tag,
-                            req_id,
-                            span,
-                            start_ns,
-                            ServeError::Remote("service is shutting down".into()),
-                            true,
-                        );
-                        break;
-                    }
-                    Err(mpsc::TrySendError::Full(back)) => {
-                        if Instant::now() >= d.1 {
-                            self.counters.inc(Ctr::RequestsTimedOut);
-                            reject_tagged(
-                                replies,
-                                tag,
-                                req_id,
-                                span,
-                                start_ns,
-                                ServeError::Timeout(format!(
-                                    "request exceeded its {:?} budget",
-                                    d.0
-                                )),
-                                true,
-                            );
-                            break;
-                        }
-                        job = back;
-                        thread::sleep(Duration::from_millis(1));
-                        // Queue wait measures queued time, not the
-                        // submitter's backoff: restamp on each retry.
-                        if let Job::Whole(w) = &mut job {
-                            w.submitted_ns = deepn_trace::tick();
-                        }
-                    }
-                }
-            },
-        }
+        };
+        conn.queue(Reply::new(meta, Err(failure)));
     }
 
     /// Handles one `CompressStream` request after its begin frame: reads
@@ -1406,7 +1189,7 @@ impl ConnCtx {
         let mut r = ByteReader::new(payload);
         let width = r.u32()? as usize;
         let height = r.u32()? as usize;
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
+        let deadline = self.deadline();
         let mut session = encoder
             .stream_encoder(width, height)
             .map_err(|e| ServeError::Remote(format!("compress-stream rejected: {e}")))?;
@@ -1468,10 +1251,11 @@ impl ConnCtx {
     /// never materialized — peak reply-side memory is one strip, no matter
     /// how large the image is.
     ///
-    /// Every outcome (including mid-stream decode failures and deadline
-    /// overruns) is delivered as a typed frame on an intact frame
-    /// boundary, so the return value is `false` only when the peer is
-    /// gone.
+    /// Every frame but the last is written here; the last one's payload
+    /// is returned as the request's reply. A failure returns the typed
+    /// error that replaces the next strip frame — on an intact frame
+    /// boundary, so only [`ServeError::Io`] (the peer is gone) ends the
+    /// connection.
     fn decompress_stream(
         &self,
         stream: &mut TcpStream,
@@ -1479,180 +1263,42 @@ impl ConnCtx {
         decoder: &Decoder,
         ws: &mut DecodeWorkspace,
         strip: &mut PixelStrip,
-        timer: &RequestTimer<'_>,
-    ) -> bool {
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
-        let mut run = || -> Result<(), ServeError> {
-            let mut r = ByteReader::new(payload);
-            let jfif = protocol::get_blob(&mut r)?;
-            let mut session = decoder
-                .stream_decoder(&jfif)
-                .map_err(|e| ServeError::Remote(format!("decode failed: {e}")))?;
-            let mut begin = ByteWriter::new();
-            begin.put_u8(STATUS_OK);
-            begin.put_u32(session.width() as u32);
-            begin.put_u32(session.height() as u32);
-            if !self.write_reply(stream, begin.as_bytes()) {
+    ) -> Result<Vec<u8>, ServeError> {
+        let deadline = self.deadline();
+        let mut r = ByteReader::new(payload);
+        let jfif = protocol::get_blob(&mut r)?;
+        let mut session = decoder
+            .stream_decoder(&jfif)
+            .map_err(|e| ServeError::Remote(format!("decode failed: {e}")))?;
+        let mut frame = ByteWriter::new();
+        frame.put_u8(STATUS_OK);
+        frame.put_u32(session.width() as u32);
+        frame.put_u32(session.height() as u32);
+        let mut frame = frame.into_bytes();
+        // `next_strip` yields exactly `strip_count` strips (or an error).
+        for _ in 0..session.strip_count() {
+            if !write_frame_timed(stream, None, &frame, &self.counters) {
                 return Err(ServeError::Io(io::ErrorKind::BrokenPipe.into()));
             }
-            let mut frame = Vec::new();
-            loop {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    return Err(ServeError::Remote("service is shutting down".into()));
-                }
-                if let Some((budget, end)) = &deadline {
-                    if Instant::now() >= *end {
-                        self.counters.inc(Ctr::RequestsTimedOut);
-                        return Err(ServeError::Timeout(format!(
-                            "stream exceeded its {budget:?} budget"
-                        )));
-                    }
-                }
-                let more = session
-                    .next_strip(ws, strip)
-                    .map_err(|e| ServeError::Remote(format!("decode failed: {e}")))?;
-                if !more {
-                    break;
-                }
-                frame.clear();
-                frame.push(STATUS_OK);
-                frame.extend_from_slice(strip.as_bytes());
-                if !self.write_reply(stream, &frame) {
-                    return Err(ServeError::Io(io::ErrorKind::BrokenPipe.into()));
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Err(ServeError::Remote("service is shutting down".into()));
+            }
+            if let Some((budget, end)) = &deadline {
+                if Instant::now() >= *end {
+                    self.counters.inc(Ctr::RequestsTimedOut);
+                    return Err(ServeError::Timeout(format!(
+                        "stream exceeded its {budget:?} budget"
+                    )));
                 }
             }
-            self.counters.inc(Ctr::ImagesDecoded);
-            Ok(())
-        };
-        match run() {
-            Ok(()) => true,
-            Err(ServeError::Io(e)) => {
-                timer.fail(&ServeError::Io(e));
-                false
-            }
-            Err(e) => {
-                // Every reply frame of this exchange leads with a status
-                // byte, so a typed error frame in place of a strip frame
-                // is unambiguous: the client stops reading strips there.
-                timer.fail(&e);
-                self.write_reply(stream, &error_reply(e))
-            }
+            session
+                .next_strip(ws, strip)
+                .map_err(|e| ServeError::Remote(format!("decode failed: {e}")))?;
+            frame.truncate(1);
+            frame.extend_from_slice(strip.as_bytes());
         }
-    }
-
-    /// Handles one request, returning `(reply_body, shutdown)`.
-    fn handle(&self, body: &[u8]) -> (Vec<u8>, bool) {
-        match self.dispatch(body) {
-            Ok((payload, stop)) => {
-                let mut reply = Vec::with_capacity(1 + payload.len());
-                reply.push(STATUS_OK);
-                reply.extend_from_slice(&payload);
-                (reply, stop)
-            }
-            Err(e) => (error_reply(e), false),
-        }
-    }
-
-    fn dispatch(&self, body: &[u8]) -> Result<(Vec<u8>, bool), ServeError> {
-        let (&op, payload) = body
-            .split_first()
-            .ok_or_else(|| ServeError::Protocol("empty request frame".into()))?;
-        let op = Opcode::from_u8(op)
-            .ok_or_else(|| ServeError::Protocol(format!("unknown opcode {op}")))?;
-        let mut r = ByteReader::new(payload);
-        match op {
-            Opcode::Ping => Ok((Vec::new(), false)),
-            Opcode::Shutdown => Ok((Vec::new(), true)),
-            // Negotiation is intercepted in the serve loop (granting
-            // FEATURE_TAGGED re-frames the connection); reachable here
-            // only via the limited-rejection path, which never dispatches.
-            Opcode::Hello => Err(ServeError::Protocol(
-                "Hello is negotiated by the serve loop, not dispatched".into(),
-            )),
-            // The streaming ops are intercepted before dispatch (they own
-            // the connection for their strip frames).
-            Opcode::CompressStream | Opcode::DecompressStream => Err(ServeError::Protocol(
-                "streaming ops must be the first frame of their exchange".into(),
-            )),
-            Opcode::Metrics => {
-                let mut w = ByteWriter::new();
-                let active = self.active.load(Ordering::SeqCst) as u64;
-                w.put_string(&self.counters.render(active));
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::EncodeBatch => {
-                let count = r.len(8)?;
-                let mut reqs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reqs.push(JobRequest::Encode(protocol::get_image(&mut r)?));
-                }
-                let results = self.fan_out(reqs)?;
-                self.counters.add(Ctr::ImagesEncoded, count as u64);
-                let mut w = ByteWriter::new();
-                w.put_len(results.len());
-                for res in results {
-                    match res {
-                        JobResult::Bytes(b) => protocol::put_blob(&mut w, &b),
-                        _ => {
-                            return Err(ServeError::Remote(
-                                "encode job produced a non-bytes result".into(),
-                            ))
-                        }
-                    }
-                }
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::DecodeBatch => {
-                let count = r.len(4)?;
-                let mut reqs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reqs.push(JobRequest::Decode(protocol::get_blob(&mut r)?));
-                }
-                let results = self.fan_out(reqs)?;
-                self.counters.add(Ctr::ImagesDecoded, count as u64);
-                let mut w = ByteWriter::new();
-                w.put_len(results.len());
-                for res in results {
-                    match res {
-                        JobResult::Image(img) => protocol::put_image(&mut w, &img),
-                        _ => {
-                            return Err(ServeError::Remote(
-                                "decode job produced a non-image result".into(),
-                            ))
-                        }
-                    }
-                }
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::Classify => {
-                if !self.has_model {
-                    return Err(ServeError::Remote(
-                        "service started without a model artifact".into(),
-                    ));
-                }
-                let count = r.len(8)?;
-                let mut reqs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reqs.push(JobRequest::Classify(protocol::get_image(&mut r)?));
-                }
-                let results = self.fan_out(reqs)?;
-                self.counters.add(Ctr::ImagesClassified, count as u64);
-                let mut w = ByteWriter::new();
-                w.put_len(results.len());
-                for res in results {
-                    match res {
-                        JobResult::Label(l) => w.put_u32(l as u32),
-                        _ => {
-                            return Err(ServeError::Remote(
-                                "classify job produced a non-label result".into(),
-                            ))
-                        }
-                    }
-                }
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::Stats => Ok((self.stats_payload(), false)),
-        }
+        self.counters.inc(Ctr::ImagesDecoded);
+        Ok(frame.split_off(1))
     }
 
     /// The `Stats` ok-payload: the frozen eight-counter prefix, the
@@ -1684,99 +1330,6 @@ impl ConnCtx {
         w.put_u64(self.counters.get(Ctr::TaggedRequests));
         w.into_bytes()
     }
-
-    /// Submits one job per batch item to the bounded queue and collects
-    /// the results back into request order, honoring the per-request
-    /// deadline: a budget overrun returns a typed [`ServeError::Timeout`]
-    /// (late worker replies then land on a closed channel, harmlessly).
-    fn fan_out(&self, reqs: Vec<JobRequest>) -> Result<Vec<JobResult>, ServeError> {
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let timed_out = |(budget, _): &(Duration, Instant)| {
-            // Giving up cancels the request's still-queued jobs, so a
-            // retrying client does not pile dead work onto the queue.
-            cancelled.store(true, Ordering::SeqCst);
-            self.counters.inc(Ctr::RequestsTimedOut);
-            ServeError::Timeout(format!("request exceeded its {budget:?} budget"))
-        };
-        if let Some(d) = &deadline {
-            if Instant::now() >= d.1 {
-                return Err(timed_out(d));
-            }
-        }
-        let n = reqs.len();
-        let (tx, rx) = mpsc::channel();
-        for (index, req) in reqs.into_iter().enumerate() {
-            let mut job = Job::Item(ItemJob {
-                index,
-                req,
-                reply: tx.clone(),
-                cancelled: Arc::clone(&cancelled),
-                submitted_ns: deepn_trace::tick(),
-            });
-            // Submission must honor the deadline too: a full queue under
-            // overload would otherwise block `send` past the budget —
-            // exactly the situation the timeout exists for.
-            match &deadline {
-                None => self
-                    .job_tx
-                    .send(job)
-                    .map_err(|_| ServeError::Remote("service is shutting down".into()))?,
-                Some(d) => loop {
-                    match self.job_tx.try_send(job) {
-                        Ok(()) => break,
-                        Err(mpsc::TrySendError::Disconnected(_)) => {
-                            return Err(ServeError::Remote("service is shutting down".into()));
-                        }
-                        Err(mpsc::TrySendError::Full(back)) => {
-                            if Instant::now() >= d.1 {
-                                return Err(timed_out(d));
-                            }
-                            job = back;
-                            thread::sleep(Duration::from_millis(1));
-                            // Queue wait measures queued time, not the
-                            // submitter's backoff: restamp on each retry.
-                            if let Job::Item(j) = &mut job {
-                                j.submitted_ns = deepn_trace::tick();
-                            }
-                        }
-                    }
-                },
-            }
-        }
-        drop(tx);
-        let mut out: Vec<Option<JobResult>> = std::iter::repeat_with(|| None).take(n).collect();
-        let mut first_err: Option<String> = None;
-        for _ in 0..n {
-            let (index, result) = match &deadline {
-                None => rx
-                    .recv()
-                    .map_err(|_| ServeError::Remote("worker pool died".into()))?,
-                Some(d) => {
-                    let remaining = d.1.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(remaining) {
-                        Ok(reply) => reply,
-                        Err(RecvTimeoutError::Timeout) => return Err(timed_out(d)),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(ServeError::Remote("worker pool died".into()))
-                        }
-                    }
-                }
-            };
-            match result {
-                Ok(res) => out[index] = Some(res),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(ServeError::Remote(e));
-        }
-        out.into_iter()
-            .map(|r| r.ok_or_else(|| ServeError::Remote("a fan-out job returned no result".into())))
-            .collect()
-    }
 }
 
 /// The span name for a request frame's opcode byte — static strings so
@@ -1794,87 +1347,6 @@ fn opcode_span_name(op: Option<u8>) -> &'static str {
         Some(Opcode::DecompressStream) => "serve.request.decompress_stream",
         Some(Opcode::Hello) => "serve.request.hello",
         None => "serve.request.unknown",
-    }
-}
-
-/// Observes one whole request on scope exit — read-to-reply wall time into
-/// the request histogram, a per-opcode span, and the structured
-/// `request` / `slow_request` / `request_timeout` / `request_error`
-/// events — so every exit path of the serve loop's three handling
-/// branches is covered by construction.
-struct RequestTimer<'a> {
-    metrics: &'a ServeMetrics,
-    slow: Option<Duration>,
-    name: &'static str,
-    start_ns: u64,
-    conn_id: u64,
-    req_id: u64,
-    status: Cell<&'static str>,
-}
-
-impl RequestTimer<'_> {
-    /// The request's short opcode name (`ping`, `encode_batch`, ...).
-    fn op(&self) -> &'static str {
-        self.name
-            .strip_prefix("serve.request.")
-            .unwrap_or(self.name)
-    }
-
-    /// Records the request's outcome for the completion event.
-    fn set_status(&self, status: &'static str) {
-        self.status.set(status);
-    }
-
-    /// Records a typed failure as this request's outcome.
-    fn fail(&self, e: &ServeError) {
-        self.set_status(match e {
-            ServeError::Busy(_) => "busy",
-            ServeError::Timeout(_) => "timeout",
-            ServeError::Io(_) => "io",
-            _ => "error",
-        });
-    }
-}
-
-impl Drop for RequestTimer<'_> {
-    fn drop(&mut self) {
-        let end_ns = deepn_trace::tick();
-        let dur_ns = end_ns.saturating_sub(self.start_ns);
-        self.metrics.request_seconds.record_ns(dur_ns);
-        deepn_trace::record_span(self.name, self.start_ns, end_ns);
-        let status = self.status.get();
-        let ms = format!("{:.3}", dur_ns as f64 / 1e6);
-        log::trace("request")
-            .field("conn_id", self.conn_id)
-            .field("req_id", self.req_id)
-            .field("op", self.op())
-            .field("status", status)
-            .field("ms", &ms)
-            .emit();
-        if matches!(status, "timeout" | "error") {
-            let name = if status == "timeout" {
-                "request_timeout"
-            } else {
-                "request_error"
-            };
-            log::warn(name)
-                .field("conn_id", self.conn_id)
-                .field("req_id", self.req_id)
-                .field("op", self.op())
-                .field("ms", &ms)
-                .emit();
-        }
-        if let Some(t) = self.slow {
-            if dur_ns >= t.as_nanos() as u64 {
-                log::warn("slow_request")
-                    .field("conn_id", self.conn_id)
-                    .field("req_id", self.req_id)
-                    .field("op", self.op())
-                    .field("ms", &ms)
-                    .field("threshold_ms", format!("{:.3}", t.as_nanos() as f64 / 1e6))
-                    .emit();
-            }
-        }
     }
 }
 
@@ -1904,100 +1376,26 @@ fn image_to_tensor(img: &RgbImage) -> Tensor {
     Tensor::from_vec(chw, &[1, 3, img.height(), img.width()])
 }
 
-fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    tables: &QuantTablePair,
-    model: Option<Arc<Sequential>>,
-    metrics: &ServeMetrics,
-) {
-    let encoder = Encoder::with_tables(tables.clone());
-    let decoder = Decoder::new();
-    // Per-worker codec workspaces, reused across every job this worker
-    // ever runs: after the first image of a given width, the block-strip
-    // hot loops allocate nothing.
-    let mut enc_ws = EncodeWorkspace::new();
-    let mut dec_ws = DecodeWorkspace::new();
+fn worker_loop(rx: &Mutex<Receiver<Job>>, mut codec: Codec, metrics: &ServeMetrics) {
     loop {
         // Hold the lock only while dequeuing, not while working.
         let job = match rx.lock() {
             Ok(guard) => guard.recv(),
             Err(_) => return,
         };
-        match job {
-            Err(_) => return,
-            Ok(Job::Item(job)) => {
-                run_item_job(
-                    job,
-                    &encoder,
-                    &decoder,
-                    model.as_ref(),
-                    &mut enc_ws,
-                    &mut dec_ws,
-                    metrics,
-                );
-            }
-            Ok(Job::Whole(job)) => {
-                execute_whole(
-                    job,
-                    &encoder,
-                    &decoder,
-                    model.as_ref(),
-                    &mut enc_ws,
-                    &mut dec_ws,
-                    metrics,
-                );
-            }
-        }
+        let Ok(job) = job else {
+            return;
+        };
+        let reply = run_whole(
+            job.work,
+            job.meta,
+            job.deadline,
+            job.submitted_ns,
+            &mut codec,
+            metrics,
+        );
+        job.reply.send(reply);
     }
-}
-
-/// Runs one v1 fan-out item on a worker.
-fn run_item_job(
-    job: ItemJob,
-    encoder: &Encoder,
-    decoder: &Decoder,
-    model: Option<&Arc<Sequential>>,
-    enc_ws: &mut EncodeWorkspace,
-    dec_ws: &mut DecodeWorkspace,
-    metrics: &ServeMetrics,
-) {
-    let dequeued_ns = deepn_trace::tick();
-    metrics
-        .queue_wait_seconds
-        .record_ns(dequeued_ns.saturating_sub(job.submitted_ns));
-    deepn_trace::record_span("serve.queue_wait", job.submitted_ns, dequeued_ns);
-    if job.cancelled.load(Ordering::SeqCst) {
-        // The request already timed out; nobody collects this result.
-        return;
-    }
-    // A panic (e.g. an image whose geometry violates a model layer's
-    // invariants) must cost one request, not one pool thread: an
-    // unreplaced dead worker would eventually wedge the whole service.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.req {
-        JobRequest::Encode(img) => encoder
-            .encode_with(&img, enc_ws)
-            .map(JobResult::Bytes)
-            .map_err(|e| format!("encode failed: {e}")),
-        JobRequest::Decode(bytes) => decoder
-            .decode_with(&bytes, dec_ws)
-            .map(JobResult::Image)
-            .map_err(|e| format!("decode failed: {e}")),
-        JobRequest::Classify(img) => match model {
-            Some(net) => {
-                let labels = net.predict(&image_to_tensor(&img));
-                Ok(JobResult::Label(labels[0]))
-            }
-            None => Err("no model loaded".into()),
-        },
-    }))
-    .unwrap_or_else(|panic| Err(format!("request rejected: {}", panic_message(&panic))));
-    let done_ns = deepn_trace::tick();
-    metrics
-        .execute_seconds
-        .record_ns(done_ns.saturating_sub(dequeued_ns));
-    deepn_trace::record_span("serve.execute", dequeued_ns, done_ns);
-    // A dropped receiver means the connection died; nothing to do.
-    let _ = job.reply.send((job.index, result));
 }
 
 /// Extracts the human-readable message from a caught panic payload.
@@ -2009,8 +1407,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "worker panicked".into())
 }
 
-/// The status label for a typed failure — the tagged path's analogue of
-/// [`RequestTimer::fail`].
+/// The status label a typed failure carries in the `request` event.
 fn error_status(e: &ServeError) -> &'static str {
     match e {
         ServeError::Busy(_) => "busy",
@@ -2020,93 +1417,20 @@ fn error_status(e: &ServeError) -> &'static str {
     }
 }
 
-/// Enqueues a typed error reply for a tagged request on the connection's
-/// writer. `release` is false when the failure must not retire the tag
-/// (duplicate tags, pre-admission rejects).
-fn reject_tagged(
-    replies: &ReplySink,
-    tag: u32,
-    req_id: u64,
-    span: &'static str,
-    start_ns: u64,
-    e: ServeError,
-    release: bool,
-) {
-    let status = error_status(&e);
-    replies.send(TaggedReply {
-        tag,
-        body: error_reply(e),
-        release,
-        req_id,
-        span,
-        start_ns,
-        done_ns: deepn_trace::tick(),
-        status,
-    });
-}
-
-/// Executes one whole tagged request on a worker: deadline re-checked at
-/// dequeue and between batch items, panics isolated per request, and the
-/// complete v1-shaped reply body handed to the connection's writer.
-/// Per-request payload bytes and error messages are identical to the v1
-/// fan-out path's (`tests/tagged.rs` proves it property-wise).
-fn execute_whole(
-    job: WholeJob,
-    encoder: &Encoder,
-    decoder: &Decoder,
-    model: Option<&Arc<Sequential>>,
-    enc_ws: &mut EncodeWorkspace,
-    dec_ws: &mut DecodeWorkspace,
-    metrics: &ServeMetrics,
-) {
-    let WholeJob {
-        work,
-        tag,
-        reply,
-        deadline,
-        submitted_ns,
-        start_ns,
-        req_id,
-        span,
-    } = job;
-    let done = run_whole(
-        work,
-        tag,
-        deadline,
-        submitted_ns,
-        start_ns,
-        req_id,
-        span,
-        encoder,
-        decoder,
-        model,
-        enc_ws,
-        dec_ws,
-        metrics,
-    );
-    reply.send(done);
-}
-
-/// The execution core shared by pool workers ([`execute_whole`]) and the
-/// reader's quiet-connection inline path: runs one whole tagged request
-/// to a finished [`TaggedReply`], with identical bytes, deadline checks,
-/// panic isolation, and metrics either way.
-#[allow(clippy::too_many_arguments)]
+/// Executes one whole request — on a pool worker, or inline on a quiet
+/// connection's reader — to a finished [`Reply`], with identical bytes,
+/// deadline checks, panic isolation, and metrics either way. The
+/// deadline is checked at dequeue and before each batch item (an item
+/// already running finishes), and the first failing item, in item
+/// order, fails the whole request.
 fn run_whole(
     work: WholeWork,
-    tag: u32,
+    meta: ReqMeta,
     deadline: Option<(Duration, Instant)>,
     submitted_ns: u64,
-    start_ns: u64,
-    req_id: u64,
-    span: &'static str,
-    encoder: &Encoder,
-    decoder: &Decoder,
-    model: Option<&Arc<Sequential>>,
-    enc_ws: &mut EncodeWorkspace,
-    dec_ws: &mut DecodeWorkspace,
+    codec: &mut Codec,
     metrics: &ServeMetrics,
-) -> TaggedReply {
+) -> Reply {
     let dequeued_ns = deepn_trace::tick();
     metrics
         .queue_wait_seconds
@@ -2122,6 +1446,9 @@ fn run_whole(
         // Dead on arrival: the deadline passed while queued, so skip the
         // work entirely instead of computing a reply past its budget.
         Some(e) => Err(e),
+        // A panic (e.g. an image whose geometry violates a model layer's
+        // invariants) must cost one request, not one pool thread: an
+        // unreplaced dead worker would eventually wedge the whole service.
         None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<Vec<u8>, ServeError> {
                 match work {
@@ -2132,8 +1459,9 @@ fn run_whole(
                             if let Some(e) = over_budget() {
                                 return Err(e);
                             }
-                            let bytes = encoder
-                                .encode_with(img, enc_ws)
+                            let bytes = codec
+                                .encoder
+                                .encode_with(img, &mut codec.enc_ws)
                                 .map_err(|e| ServeError::Remote(format!("encode failed: {e}")))?;
                             protocol::put_blob(&mut w, &bytes);
                         }
@@ -2147,8 +1475,9 @@ fn run_whole(
                             if let Some(e) = over_budget() {
                                 return Err(e);
                             }
-                            let img = decoder
-                                .decode_with(blob, dec_ws)
+                            let img = codec
+                                .decoder
+                                .decode_with(blob, &mut codec.dec_ws)
                                 .map_err(|e| ServeError::Remote(format!("decode failed: {e}")))?;
                             protocol::put_image(&mut w, &img);
                         }
@@ -2156,7 +1485,7 @@ fn run_whole(
                         Ok(w.into_bytes())
                     }
                     WholeWork::Classify(images) => {
-                        let Some(net) = model else {
+                        let Some(net) = &codec.model else {
                             return Err(ServeError::Remote("no model loaded".into()));
                         };
                         let mut w = ByteWriter::new();
@@ -2181,34 +1510,13 @@ fn run_whole(
             )))
         }),
     };
-    let (body, status) = match outcome {
-        Ok(payload) => {
-            let mut body = Vec::with_capacity(1 + payload.len());
-            body.push(STATUS_OK);
-            body.extend_from_slice(&payload);
-            (body, "ok")
-        }
-        Err(e) => {
-            if matches!(e, ServeError::Timeout(_)) {
-                metrics.inc(Ctr::RequestsTimedOut);
-            }
-            let status = error_status(&e);
-            (error_reply(e), status)
-        }
-    };
-    let done_ns = deepn_trace::tick();
+    if matches!(outcome, Err(ServeError::Timeout(_))) {
+        metrics.inc(Ctr::RequestsTimedOut);
+    }
+    let reply = Reply::new(meta, outcome);
     metrics
         .execute_seconds
-        .record_ns(done_ns.saturating_sub(dequeued_ns));
-    deepn_trace::record_span("serve.execute", dequeued_ns, done_ns);
-    TaggedReply {
-        tag,
-        body,
-        release: true,
-        req_id,
-        span,
-        start_ns,
-        done_ns,
-        status,
-    }
+        .record_ns(reply.done_ns.saturating_sub(dequeued_ns));
+    deepn_trace::record_span("serve.execute", dequeued_ns, reply.done_ns);
+    reply
 }

@@ -1,9 +1,13 @@
 //! In-process end-to-end tests: a spawned server, a TCP client, and
 //! byte-identity against the local codec.
 
-use deepn_codec::{Decoder, Encoder, QuantTablePair};
+use deepn_codec::stream::strip_count_for;
+use deepn_codec::{Decoder, Encoder, PixelStrip, QuantTablePair, RgbImage};
 use deepn_dataset::{DatasetSpec, ImageSet};
-use deepn_serve::{Client, ServeError, Server, ServerConfig};
+use deepn_serve::protocol::{self, Opcode, STATUS_ERR, STATUS_OK};
+use deepn_serve::{Client, PipelineReply, ServeError, Server, ServerConfig};
+use deepn_store::{ByteReader, ByteWriter};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn start(tables: QuantTablePair) -> (deepn_serve::ServerHandle, Client) {
@@ -56,17 +60,131 @@ fn batch_round_trip_is_byte_identical_to_local_codec() {
 
 #[test]
 fn oversized_batches_flow_through_the_bounded_queue() {
-    // More jobs than queue_depth (8) exercises backpressure rather than
-    // failure.
-    let set = ImageSet::generate(&DatasetSpec::tiny(), 5);
-    let images: Vec<_> = std::iter::repeat_with(|| set.images().iter().cloned())
-        .take(4)
-        .flatten()
-        .collect();
-    assert!(images.len() > 8);
-    let (handle, mut client) = start(QuantTablePair::uniform(6));
-    let streams = client.encode_batch(&images).expect("large batch");
-    assert_eq!(streams.len(), images.len());
+    // Four pooled requests (each over the 4096-pixel inline budget) in
+    // flight at once on one tagged connection, against one worker and a
+    // one-slot queue: more than `workers + queue_depth`, so submissions
+    // meet a full queue and must wait — backpressure, not failure.
+    let tables = QuantTablePair::uniform(6);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        tables.clone(),
+        None,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let handle = server.spawn();
+    let mut client = Client::connect_retry(handle.addr(), Duration::from_secs(5)).expect("connect");
+    assert!(client.upgrade_tagged().expect("negotiate"));
+    let images: Vec<RgbImage> = (0..4).map(|i| RgbImage::gradient(128, 128 + i)).collect();
+    let encoder = Encoder::with_tables(tables);
+    {
+        let mut pipe = client.pipeline(4);
+        for img in &images {
+            pipe.submit_encode_batch(std::slice::from_ref(img))
+                .expect("submit");
+        }
+        for img in &images {
+            let local = encoder.encode(img).expect("local encode");
+            assert_eq!(
+                pipe.recv().expect("every pooled request succeeds"),
+                PipelineReply::Encoded(vec![local])
+            );
+        }
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.requests_timed_out, 0);
+    assert_eq!(stats.images_encoded, images.len() as u64);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn v1_replies_keep_arrival_order_across_pooled_rejected_and_streamed_requests() {
+    // Four requests written back to back on one raw v1 connection before
+    // any reply is read: a pooled encode, a typed rejection, and both
+    // streaming ops. Each must wait for its predecessor's reply, so the
+    // replies arrive in request order.
+    let tables = QuantTablePair::standard(70);
+    let (handle, mut client) = start(tables.clone());
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+
+    // 1. A pooled EncodeBatch: one 128×128 image, over the inline budget.
+    let pooled = RgbImage::gradient(128, 128);
+    let mut w = ByteWriter::new();
+    w.put_u8(Opcode::EncodeBatch as u8);
+    w.put_len(1);
+    protocol::put_image(&mut w, &pooled);
+    protocol::write_frame(&mut conn, w.as_bytes()).expect("encode request");
+    // 2. A frame with an unknown opcode.
+    protocol::write_frame(&mut conn, &[0xEE]).expect("unknown opcode");
+    // 3. A CompressStream begin frame with its strips.
+    let streamed = RgbImage::gradient(24, 20);
+    let mut w = ByteWriter::new();
+    w.put_u8(Opcode::CompressStream as u8);
+    w.put_u32(24);
+    w.put_u32(20);
+    protocol::write_frame(&mut conn, w.as_bytes()).expect("begin frame");
+    let mut strip = PixelStrip::new();
+    for s in 0..strip_count_for(20) {
+        assert!(strip.copy_from_image(&streamed, s));
+        protocol::write_frame(&mut conn, strip.as_bytes()).expect("strip");
+    }
+    // 4. A DecompressStream.
+    let jfif = Encoder::with_tables(tables.clone())
+        .encode(&RgbImage::gradient(16, 12))
+        .expect("local encode");
+    let mut w = ByteWriter::new();
+    w.put_u8(Opcode::DecompressStream as u8);
+    protocol::put_blob(&mut w, &jfif);
+    protocol::write_frame(&mut conn, w.as_bytes()).expect("decompress request");
+
+    let mut next = || {
+        protocol::read_frame(&mut conn)
+            .expect("reply")
+            .expect("reply before eof")
+    };
+    let reply = next();
+    assert_eq!(reply[0], STATUS_OK, "1: pooled encode");
+    let mut r = ByteReader::new(&reply[1..]);
+    assert_eq!(r.u32().expect("count"), 1);
+    let local = Encoder::with_tables(tables.clone())
+        .encode(&pooled)
+        .expect("local encode");
+    assert_eq!(protocol::get_blob(&mut r).expect("blob"), local);
+
+    let reply = next();
+    assert_eq!(reply[0], STATUS_ERR, "2: typed rejection");
+    let msg = String::from_utf8_lossy(&reply[1..]).into_owned();
+    assert!(msg.contains("unknown opcode 238"), "{msg}");
+
+    let reply = next();
+    assert_eq!(reply[0], STATUS_OK, "3: compress stream");
+    let local = Encoder::with_tables(tables)
+        .optimize_huffman(false)
+        .encode(&streamed)
+        .expect("local encode");
+    let blob = protocol::get_blob(&mut ByteReader::new(&reply[1..])).expect("blob");
+    assert_eq!(blob, local);
+
+    let begin = next();
+    assert_eq!(begin[0], STATUS_OK, "4: decompress stream");
+    let mut r = ByteReader::new(&begin[1..]);
+    assert_eq!(
+        (r.u32().expect("width"), r.u32().expect("height")),
+        (16, 12)
+    );
+    let mut pixels = Vec::new();
+    for _ in 0..strip_count_for(12) {
+        let frame = next();
+        assert_eq!(frame[0], STATUS_OK);
+        pixels.extend_from_slice(&frame[1..]);
+    }
+    let local = Decoder::new().decode(&jfif).expect("local decode");
+    assert_eq!(pixels, local.as_bytes());
     client.shutdown().expect("shutdown");
     handle.join();
 }

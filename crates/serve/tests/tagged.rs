@@ -352,13 +352,7 @@ fn build_request(kind: u8, n: usize, w: usize, h: usize, fill: u8) -> Vec<u8> {
 
 #[test]
 fn tagged_replies_are_byte_identical_to_v1_per_request() {
-    // One worker pins multi-item completion order to item order, so the
-    // v1 fan-out's first-error choice is deterministic and comparable.
-    let handle = start(ServerConfig {
-        workers: 1,
-        queue_depth: 8,
-        ..ServerConfig::default()
-    });
+    let handle = start(ServerConfig::default());
     let mut v1 = TcpStream::connect(handle.addr()).expect("v1 connect");
     let mut v2 = TcpStream::connect(handle.addr()).expect("v2 connect");
     assert_eq!(hello(&mut v2) & FEATURE_TAGGED, FEATURE_TAGGED);
