@@ -163,18 +163,6 @@ fn bench_parallel(c: &mut Criterion) {
     c.bench_function("parallel/matmul_192_pool", |bch| {
         bch.iter(|| deepn_tensor::matmul(black_box(&a), black_box(&b)))
     });
-
-    // Full-image encode of a 256x256 image (3 x 1024 block units).
-    let img = deepn_codec::RgbImage::gradient(256, 256);
-    let enc = Encoder::with_quality(75);
-    c.bench_function("parallel/encode_256x256_scalar", |bch| {
-        bch.iter(|| {
-            deepn_parallel::run_sequential(|| enc.encode(black_box(&img)).expect("encodes"))
-        })
-    });
-    c.bench_function("parallel/encode_256x256_pool", |bch| {
-        bch.iter(|| enc.encode(black_box(&img)).expect("encodes"))
-    });
 }
 
 /// The streaming-codec workspace contract: `encode_with` through a warm
@@ -182,36 +170,29 @@ fn bench_parallel(c: &mut Criterion) {
 /// performing no per-block heap allocation on the steady-state strip loop.
 /// The allocation counts are printed per image at two sizes — a constant
 /// count across a 64x more blocks (32x32 -> 256x256) is the zero-per-block
-/// evidence; the scalar-executor counts isolate the codec itself from the
-/// pool's per-chunk task boxes.
+/// evidence.
 fn bench_stream(c: &mut Criterion) {
     let enc = Encoder::with_quality(75);
     for side in [32usize, 256] {
         let img = deepn_codec::RgbImage::gradient(side, side);
         let mut ws = EncodeWorkspace::new();
         enc.encode_with(&img, &mut ws).expect("warm-up"); // size the buffers
-        let (oneshot_allocs, _) =
-            allocations_during(|| deepn_parallel::run_sequential(|| enc.encode(&img)));
-        let (warm_allocs, _) = allocations_during(|| {
-            deepn_parallel::run_sequential(|| enc.encode_with(&img, &mut ws))
-        });
+        let (oneshot_allocs, _) = allocations_during(|| enc.encode(&img));
+        let (warm_allocs, _) = allocations_during(|| enc.encode_with(&img, &mut ws));
         let blocks = 3 * side.div_ceil(8) * side.div_ceil(8);
         println!(
             "[stream] encode {side}x{side} ({blocks} blocks): {oneshot_allocs} allocs oneshot \
-             vs {warm_allocs} warm-workspace (scalar executor)"
+             vs {warm_allocs} warm-workspace"
         );
         let mut dec_ws = DecodeWorkspace::new();
         let bytes = enc.encode(&img).expect("encodes");
         let dec = Decoder::new();
         dec.decode_with(&bytes, &mut dec_ws).expect("warm-up");
-        let (dec_oneshot, _) =
-            allocations_during(|| deepn_parallel::run_sequential(|| dec.decode(&bytes)));
-        let (dec_warm, _) = allocations_during(|| {
-            deepn_parallel::run_sequential(|| dec.decode_with(&bytes, &mut dec_ws))
-        });
+        let (dec_oneshot, _) = allocations_during(|| dec.decode(&bytes));
+        let (dec_warm, _) = allocations_during(|| dec.decode_with(&bytes, &mut dec_ws));
         println!(
             "[stream] decode {side}x{side} ({blocks} blocks): {dec_oneshot} allocs oneshot \
-             vs {dec_warm} warm-workspace (scalar executor)"
+             vs {dec_warm} warm-workspace"
         );
     }
 

@@ -169,10 +169,9 @@ impl Encoder {
     /// Runs the pipeline up to and including quantization, returning the
     /// coefficient-domain representation.
     ///
-    /// The per-block DCT → quantize → zig-zag work is embarrassingly
-    /// parallel and runs on the `deepn-parallel` pool; blocks are
-    /// independent and collected in raster order, so the result is
-    /// bit-identical to the scalar loop at any `DEEPN_THREADS`.
+    /// The per-block DCT → quantize → zig-zag work runs in raster order
+    /// on the calling thread, like every codec stage; callers that want
+    /// parallelism fan out over whole images.
     ///
     /// # Errors
     ///
@@ -194,9 +193,10 @@ impl Encoder {
                 &self.tables.chroma
             };
             let blocks = plane_to_blocks(plane);
-            out[ci] = deepn_parallel::par_map_collect(&blocks, |_, b| {
-                scan(&table.quantize(&forward_dct_8x8(b)))
-            });
+            out[ci] = blocks
+                .iter()
+                .map(|b| scan(&table.quantize(&forward_dct_8x8(b))))
+                .collect();
         }
         Ok(CoefficientPlanes {
             width: w,

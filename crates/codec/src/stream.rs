@@ -10,10 +10,11 @@
 //! a time through caller-owned, reusable [`EncodeWorkspace`] /
 //! [`DecodeWorkspace`] scratch buffers: peak memory is O(strip), and after
 //! the first strip of a given width no per-block heap allocation happens
-//! at all. The per-block transform stages fan out on the `deepn-parallel`
-//! pool with index-addressed writes, so the output is **byte-identical**
-//! at any `DEEPN_THREADS` — the same determinism contract as every other
-//! pool-wired hot path (`docs/PARALLELISM.md`).
+//! at all. Every stage of an image runs on the thread that calls the
+//! session: a strip is too small a grain to pay for a pool dispatch (at
+//! every width measured, up to 4096 px), so parallelism lives a level up
+//! — one image (or one request) per thread — and the output is
+//! **byte-identical** at any `DEEPN_THREADS` (`docs/PARALLELISM.md`).
 //!
 //! [`Encoder::encode`](crate::Encoder::encode) and
 //! [`Decoder::decode`](crate::Decoder::decode) are thin adapters over
@@ -175,8 +176,8 @@ pub struct EncodeWorkspace {
     blocks: Vec<Block>,
     coeffs: Vec<[i32; 64]>,
     /// DCT-output staging used only by profiled sessions, which split the
-    /// fused Dct+Quantize pass to time each stage; sized lazily so
-    /// unprofiled sessions never pay for it.
+    /// fused Dct+Quantize loop into two loops to time each stage; sized
+    /// lazily so unprofiled sessions never pay for it.
     dct: Vec<Block>,
 }
 
@@ -226,8 +227,9 @@ pub struct DecodeWorkspace {
     coeffs: Vec<[i32; 64]>,
     blocks: Vec<Block>,
     planes: [Vec<f32>; 3],
-    /// Dequantize-output staging used only by profiled sessions (the
-    /// mirror of [`EncodeWorkspace::dct`]); sized lazily.
+    /// Dequantize-output staging used only by profiled sessions, which
+    /// split the fused Dequantize+Idct loop into two loops (the mirror of
+    /// [`EncodeWorkspace::dct`]); sized lazily.
     dequant: Vec<Block>,
 }
 
@@ -292,14 +294,14 @@ pub fn blockize_strip(strip: &PixelStrip, ws: &mut EncodeWorkspace) {
 }
 
 /// Stages 3–5: Dct → Quantize → Zigzag over every block the workspace
-/// holds, in parallel on the `deepn-parallel` pool. Results are written by
-/// index into the workspace's coefficient buffer, so they are
-/// byte-identical at any thread count and nothing is allocated.
+/// holds, in block order on the calling thread. Results are written by
+/// index into the workspace's coefficient buffer, so nothing is
+/// allocated.
 ///
-/// A profiled session runs the same math as two passes staged through
+/// A profiled session runs the same math as two loops staged through
 /// `ws.dct` so Dct and Quantize time separately — per value the identical
 /// IEEE operations in the identical order, so the coefficients (and
-/// therefore the output bytes) match the fused path exactly.
+/// therefore the output bytes) match the fused loop exactly.
 fn transform_strip(
     ws: &mut EncodeWorkspace,
     tables: &QuantTablePair,
@@ -313,20 +315,21 @@ fn transform_strip(
         }
         {
             let _t = p.timer(Stage::EncodeDct);
-            deepn_parallel::par_map_into(&ws.blocks, &mut ws.dct, |_, blk| forward_dct_8x8(blk));
+            for (blk, out) in ws.blocks.iter().zip(&mut ws.dct) {
+                *out = forward_dct_8x8(blk);
+            }
         }
         let _t = p.timer(Stage::EncodeQuant);
-        deepn_parallel::par_map_into(&ws.dct, &mut ws.coeffs, |i, blk| {
+        for (i, (blk, out)) in ws.dct.iter().zip(&mut ws.coeffs).enumerate() {
             let table = if i < bw { &tables.luma } else { &tables.chroma };
-            scan(&table.quantize(blk))
-        });
+            *out = scan(&table.quantize(blk));
+        }
         return;
     }
-    let blocks = &ws.blocks;
-    deepn_parallel::par_map_into(blocks, &mut ws.coeffs, |i, blk| {
+    for (i, (blk, out)) in ws.blocks.iter().zip(&mut ws.coeffs).enumerate() {
         let table = if i < bw { &tables.luma } else { &tables.chroma };
-        scan(&table.quantize(&forward_dct_8x8(blk)))
-    });
+        *out = scan(&table.quantize(&forward_dct_8x8(blk)));
+    }
 }
 
 /// Symbol-frequency tallies for the optimized-Huffman analysis pass —
@@ -683,10 +686,10 @@ impl<'b> StreamDecoder<'b> {
     /// Decodes the next strip into `strip`. Returns `Ok(false)` once every
     /// strip has been produced.
     ///
-    /// The Entropy stage is sequential (DC prediction chains through the
-    /// scan); the per-block Unzigzag → Dequantize → Idct stage fans out on
-    /// the `deepn-parallel` pool with index-addressed writes, so pixels
-    /// are bit-identical at any thread count.
+    /// Every stage runs on the calling thread: the Entropy stage must be
+    /// sequential (DC prediction chains through the scan), and the
+    /// per-block Unzigzag → Dequantize → Idct loop follows it in block
+    /// order, so pixels are bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -714,10 +717,10 @@ impl<'b> StreamDecoder<'b> {
                 }
             }
         }
-        // Inverse stages 2–4 — Unzigzag → Dequantize → Idct (parallel,
-        // index-addressed). A profiled session stages through `ws.dequant`
-        // to time Dequantize and Idct separately — identical math, same
-        // bytes (see `transform_strip`).
+        // Inverse stages 2–4 — Unzigzag → Dequantize → Idct, written by
+        // index. A profiled session stages through `ws.dequant` to time
+        // Dequantize and Idct separately — identical math, same bytes (see
+        // `transform_strip`).
         let comps = &self.setup.components;
         if let Some(p) = self.prof {
             if ws.dequant.len() != ws.coeffs.len() {
@@ -726,20 +729,19 @@ impl<'b> StreamDecoder<'b> {
             }
             {
                 let _t = p.timer(Stage::DecodeDequant);
-                deepn_parallel::par_map_into(&ws.coeffs, &mut ws.dequant, |i, zz| {
-                    comps[i / bw].quant.dequantize(&unscan(zz))
-                });
+                for (i, (zz, out)) in ws.coeffs.iter().zip(&mut ws.dequant).enumerate() {
+                    *out = comps[i / bw].quant.dequantize(&unscan(zz));
+                }
             }
             let _t = p.timer(Stage::DecodeIdct);
-            deepn_parallel::par_map_into(&ws.dequant, &mut ws.blocks, |_, blk| {
-                inverse_dct_8x8(blk)
-            });
+            for (blk, out) in ws.dequant.iter().zip(&mut ws.blocks) {
+                *out = inverse_dct_8x8(blk);
+            }
         } else {
-            let coeffs = &ws.coeffs;
-            deepn_parallel::par_map_into(coeffs, &mut ws.blocks, |i, zz| {
+            for (i, (zz, out)) in ws.coeffs.iter().zip(&mut ws.blocks).enumerate() {
                 let q = &comps[i / bw].quant;
-                inverse_dct_8x8(&q.dequantize(&unscan(zz)))
-            });
+                *out = inverse_dct_8x8(&q.dequantize(&unscan(zz)));
+            }
         }
         let _t = maybe_timer(self.prof, Stage::DecodeColor);
         // Inverse stage 5 — BlockMerge: reassemble the valid rows, undo

@@ -13,8 +13,6 @@
 //! - [`par_chunks`] / [`par_chunks_mut`] — disjoint slice pieces in
 //!   parallel;
 //! - [`par_map_collect`] — an indexed map collected in input order;
-//! - [`par_map_into`] — the same map written into a caller-owned slice,
-//!   so streaming loops with reusable workspaces allocate nothing;
 //! - [`join`] — two-way fork/join;
 //! - [`scope`] — structured spawning of borrowing tasks.
 //!
@@ -164,16 +162,6 @@ where
     global().par_map_collect(items, f)
 }
 
-/// [`Pool::par_map_into`] on the global pool.
-pub fn par_map_into<T, U, F>(items: &[T], out: &mut [U], f: F)
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    global().par_map_into(items, out, f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,28 +189,6 @@ mod tests {
             let got = pool.par_map_collect(&items, |i, &x| x * x + i as u64);
             assert_eq!(got, expect, "pool with {} threads", pool.threads());
         }
-    }
-
-    #[test]
-    fn par_map_into_matches_collect_across_thread_counts() {
-        let items: Vec<u64> = (0..513).collect();
-        let expect: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| x * 3 + i as u64)
-            .collect();
-        for pool in pools() {
-            let mut out = vec![0u64; items.len()];
-            pool.par_map_into(&items, &mut out, |i, &x| x * 3 + i as u64);
-            assert_eq!(out, expect, "pool with {} threads", pool.threads());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn par_map_into_rejects_mismatched_lengths() {
-        let mut out = vec![0u32; 3];
-        Pool::with_threads(1).par_map_into(&[1u32, 2], &mut out, |_, &x| x);
     }
 
     #[test]

@@ -163,51 +163,6 @@ impl Pool {
         self.exec_batch(tasks);
     }
 
-    /// Maps `f(index, item)` over `items` into the caller-owned `out`
-    /// slice — the allocation-free sibling of
-    /// [`par_map_collect`](Self::par_map_collect), built for streaming hot
-    /// loops that reuse workspace buffers. Each output element is written
-    /// exactly once, by index, so the result is identical to the scalar
-    /// loop at any thread count; the inline path performs no heap
-    /// allocation at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items.len() != out.len()`; rethrows the first task panic.
-    pub fn par_map_into<T, U, F>(&self, items: &[T], out: &mut [U], f: F)
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        assert_eq!(
-            items.len(),
-            out.len(),
-            "par_map_into output length mismatch"
-        );
-        if self.inline_now() || items.len() <= 1 {
-            for (i, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
-                *slot = f(i, item);
-            }
-            return;
-        }
-        let chunk_size = chunk_size_for(self, items.len());
-        let f = &f;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-            .chunks_mut(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let base = ci * chunk_size;
-                Box::new(move || {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        *slot = f(base + j, &items[base + j]);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.exec_batch(tasks);
-    }
-
     /// Maps `f(index, item)` over `items` and collects the results in
     /// input order. Items are processed in contiguous chunks; the output
     /// is identical to `items.iter().enumerate().map(..).collect()`.
@@ -224,7 +179,7 @@ impl Pool {
         if self.inline_now() || items.len() <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        let chunk_size = items.len().div_ceil(self.threads() * CHUNKS_PER_THREAD);
+        let chunk_size = chunk_size_for(self, items.len());
         let chunk_count = items.len().div_ceil(chunk_size);
         let slots: Vec<Mutex<Vec<U>>> = (0..chunk_count).map(|_| Mutex::new(Vec::new())).collect();
         {

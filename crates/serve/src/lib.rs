@@ -11,8 +11,8 @@
 //! in-flight window — one request at a time on a v1 connection, so its
 //! replies leave in arrival order, and up to 16 under tagged framing.
 //! Each batch request becomes one job on a **bounded** queue drained by a
-//! fixed worker pool (each image's block work still fans out across cores
-//! on the shared `deepn-parallel` pool), so an overloaded service applies
+//! fixed worker pool (one worker per core; each image runs on the worker
+//! that took its request), so an overloaded service applies
 //! backpressure (submission waits) instead of growing without bound, and
 //! a per-connection writer thread delivers the pooled replies. Small
 //! requests on an otherwise idle connection run inline on the reader.

@@ -23,10 +23,11 @@ use std::time::{Duration, Instant};
 /// Worker-pool sizing and admission control.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Number of codec worker threads. Each worker additionally gets
-    /// intra-image parallelism for free: the codec's block loops fan out
-    /// on the shared `deepn-parallel` pool (sized by `DEEPN_THREADS`), so
-    /// a single large image no longer serializes on one worker.
+    /// Number of codec worker threads, one per core by default. These
+    /// workers are the service's only parallelism for encode and decode:
+    /// each runs one whole request, and the codec runs every image on the
+    /// thread that calls it, so requests never nest a second fan-out on
+    /// the `deepn-parallel` pool.
     pub workers: usize,
     /// Bound of the job queue; submissions block when it is full, so an
     /// overloaded service applies backpressure instead of buffering
@@ -114,12 +115,11 @@ pub struct StatsSnapshot {
 }
 
 /// One queued unit of pool work: a whole request, executed by one
-/// worker. Intra-image parallelism still fans out on the shared
-/// `deepn-parallel` pool, but the request occupies a single queue slot
-/// and a single worker, so a tagged connection's window can run
-/// *across* workers without nested fan-out ever deadlocking the bounded
-/// queue. The worker builds the complete reply body (status byte
-/// included) and hands it to the connection's writer thread.
+/// worker on its own thread (the codec never forks an image's strips),
+/// so a request occupies a single queue slot and a single worker and a
+/// tagged connection's window runs *across* workers. The worker builds
+/// the complete reply body (status byte included) and hands it to the
+/// connection's writer thread.
 struct Job {
     work: WholeWork,
     meta: ReqMeta,

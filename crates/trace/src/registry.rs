@@ -128,12 +128,13 @@ impl Gauge {
     }
 }
 
-/// One histogram shard: bucket counts plus sum/count/max, all relaxed
-/// atomics.
+/// One histogram shard: bucket counts plus sum/max, all relaxed atomics.
+/// There is deliberately no count: a snapshot's count is the sum of its
+/// buckets, so a scrape racing a recording thread can never render a
+/// `+Inf` bucket or `_count` below the last finite bucket.
 struct Shard {
     counts: [AtomicU64; NBUCKETS],
     sum_ns: AtomicU64,
-    count: AtomicU64,
     max_ns: AtomicU64,
 }
 
@@ -142,7 +143,6 @@ impl Shard {
         Shard {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
     }
@@ -189,7 +189,6 @@ impl Histogram {
         let shard = &self.shards[thread_ordinal() % NSHARDS];
         shard.counts[Self::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
         shard.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
@@ -211,9 +210,9 @@ impl Histogram {
             snap.sum_ns = snap
                 .sum_ns
                 .wrapping_add(shard.sum_ns.load(Ordering::Relaxed));
-            snap.count += shard.count.load(Ordering::Relaxed);
             snap.max_ns = snap.max_ns.max(shard.max_ns.load(Ordering::Relaxed));
         }
+        snap.count = snap.buckets.iter().sum();
         snap
     }
 }
@@ -604,6 +603,33 @@ mod tests {
                 prev = v;
             }
         }
+    }
+
+    #[test]
+    fn renders_racing_recording_threads_always_validate() {
+        let r = Registry::new();
+        let h = r.histogram("deepn_test_race_seconds", "test histogram");
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (h, stop) = (&h, &stop);
+                s.spawn(move || {
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record_ns(1_000 + i % 5_000_000);
+                        i = i.wrapping_add(7_919);
+                    }
+                });
+            }
+            for _ in 0..500 {
+                let text = r.render();
+                if let Err(e) = crate::prom::validate(&text) {
+                    stop.store(true, Ordering::Relaxed);
+                    panic!("a scrape racing the recorders must still validate: {e}");
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

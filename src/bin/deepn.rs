@@ -880,6 +880,9 @@ fn cmd_pipeline(mut args: Args) -> Result<(), Box<dyn Error>> {
     let seed = args.parsed("--seed", 0xDEE9u64)?;
     let profile = args.flag("--profile");
     args.finish()?;
+    // Honor DEEPN_TRACE=1 as `Server::bind` does: the pool's busy time
+    // in the `--profile` report advances only while tracing is on.
+    deepn::trace::enable_from_env();
     if profile {
         // Must be on before the first codec session is created: sessions
         // capture the profiling decision at creation.
@@ -987,11 +990,15 @@ fn print_profile_report() {
         Some(Reading::Counter(v)) | Some(Reading::Gauge(v)) => v,
         _ => 0,
     };
+    let busy = if deepn::trace::enabled() {
+        human_seconds(counter("deepn_parallel_worker_busy_ns_total") as f64 / 1e9)
+    } else {
+        "not measured (set DEEPN_TRACE=1)".to_string()
+    };
     println!(
-        "pool: {} steals, queue high-water {}, workers busy {}",
+        "pool: {} steals, queue high-water {}, workers busy {busy}",
         counter("deepn_parallel_steals_total"),
         counter("deepn_parallel_queue_high_water"),
-        human_seconds(counter("deepn_parallel_worker_busy_ns_total") as f64 / 1e9),
     );
 }
 

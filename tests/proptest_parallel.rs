@@ -5,6 +5,11 @@
 //! same code down the inline path — so one process compares both
 //! executors, and CI additionally runs this whole suite under
 //! `DEEPN_THREADS=1` and `DEEPN_THREADS=4`.
+//!
+//! The codec runs every image on its calling thread, so the encode,
+//! decode and quantize properties pin that no pool path comes back into
+//! it; the tensor, analysis and predict properties cover code that does
+//! fork onto the pool.
 
 use deepn::codec::{Decoder, Encoder, RgbImage};
 use deepn::parallel::run_sequential;

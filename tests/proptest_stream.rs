@@ -2,9 +2,11 @@
 //! driven `StreamEncoder`/`StreamDecoder` session must be byte-identical
 //! to the one-shot `Encoder::encode`/`Decoder::decode` adapters for
 //! arbitrary image content and shape — including non-multiple-of-8 and
-//! 1×N degenerate geometries — with workspaces reused across images, in
-//! both Huffman modes, and under either executor (CI runs this suite at
-//! `DEEPN_THREADS=1` and `4`; `run_sequential` compares both in-process).
+//! 1×N degenerate geometries — with workspaces reused across images, and
+//! in both Huffman modes. A session runs every stage on its calling
+//! thread, so the executor must not matter: CI runs this suite at
+//! `DEEPN_THREADS=1` and `4`, and `run_sequential` compares both
+//! in-process.
 
 use deepn::codec::{
     DecodeWorkspace, Decoder, EncodeWorkspace, Encoder, PixelStrip, RgbImage, StreamEncoder,
