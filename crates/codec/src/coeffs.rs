@@ -2,7 +2,7 @@
 //! coded AC coefficients (ITU T.81 §F.1.2), on top of Huffman symbols.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
+use crate::huffman::{HuffmanDecoder, HuffmanEncoder, HuffmanSpec};
 use crate::CodecError;
 
 /// End-of-block AC symbol.
@@ -13,13 +13,7 @@ pub const ZRL: u8 = 0xF0;
 /// Magnitude category of a coefficient value: the number of bits needed to
 /// represent `|v|` (category 0 means `v == 0`).
 pub fn category(v: i32) -> u8 {
-    let mut a = v.unsigned_abs();
-    let mut c = 0u8;
-    while a != 0 {
-        a >>= 1;
-        c += 1;
-    }
-    c
+    (u32::BITS - v.unsigned_abs().leading_zeros()) as u8
 }
 
 /// The `category`-bit mantissa JPEG appends after a magnitude symbol:
@@ -46,6 +40,135 @@ pub fn extend(bits: u16, cat: u8) -> i32 {
     }
 }
 
+/// Table selector of an entropy token for the DC luminance table. The
+/// four selectors index a scan's Huffman tables in DHT order.
+const DC_LUMA: usize = 0;
+/// Selector of the DC chrominance table (AC tables are DC + 1).
+const DC_CHROMA: usize = 2;
+
+/// Packs one entropy token: the Huffman symbol, the table that codes it
+/// (bits 24–25) and the mantissa written after its code (low 11 bits; its
+/// length is the symbol's low nibble).
+fn token(table: usize, symbol: u8, mantissa: u16) -> u32 {
+    ((table as u32) << 24) | (u32::from(symbol) << 16) | u32::from(mantissa)
+}
+
+/// The table selector of a token.
+fn token_table(token: u32) -> usize {
+    (token >> 24) as usize & 3
+}
+
+/// The Huffman symbol of a token.
+fn token_symbol(token: u32) -> u8 {
+    (token >> 16) as u8
+}
+
+/// The run-length walk of one zig-zag-ordered quantized block (T.81
+/// §F.1.2): hands `sink` every entropy token the block codes as, in
+/// bitstream order — DC category and mantissa, then (run, size) symbols
+/// with ZRL and EOB. `prev_dc` is the previous block's DC level for the
+/// same component (DPCM state); returns the new DC. Every encode path
+/// tokenizes through this one function.
+///
+/// # Panics
+///
+/// Panics if a coefficient's category exceeds what baseline JPEG can code
+/// (DC > 11, AC > 10) — impossible for 8-bit input.
+#[inline]
+pub(crate) fn tokenize_block(
+    zz: &[i32; 64],
+    prev_dc: i32,
+    chroma: bool,
+    mut sink: impl FnMut(u32),
+) -> i32 {
+    let dc = if chroma { DC_CHROMA } else { DC_LUMA };
+    let ac = dc + 1;
+    let diff = zz[0] - prev_dc;
+    let cat = category(diff);
+    assert!(cat <= 11, "DC difference out of baseline range");
+    sink(token(dc, cat, mantissa(diff, cat)));
+    let mut run = 0u32;
+    for &v in &zz[1..] {
+        if v == 0 {
+            run += 1;
+            continue;
+        }
+        while run >= 16 {
+            sink(token(ac, ZRL, 0));
+            run -= 16;
+        }
+        let cat = category(v);
+        assert!(cat <= 10, "AC coefficient out of baseline range");
+        sink(token(ac, ((run as u8) << 4) | cat, mantissa(v, cat)));
+        run = 0;
+    }
+    if run > 0 {
+        sink(token(ac, EOB, 0));
+    }
+    zz[0]
+}
+
+/// Writes one token: its symbol's code from `table`, then its mantissa.
+#[inline]
+fn emit_token(writer: &mut BitWriter, table: &HuffmanEncoder, token: u32) {
+    let symbol = token_symbol(token);
+    table.encode(writer, symbol);
+    writer.put(token as u16, u32::from(symbol & 0x0F));
+}
+
+/// The four Huffman tables of one scan, indexed by token table selector:
+/// `[dc_luma, ac_luma, dc_chroma, ac_chroma]`, the order of the DHT
+/// segments.
+#[derive(Debug)]
+pub(crate) struct ScanTables {
+    /// The specifications the DHT segments carry.
+    pub(crate) specs: [HuffmanSpec; 4],
+    encoders: [HuffmanEncoder; 4],
+}
+
+impl ScanTables {
+    fn from_specs(specs: [HuffmanSpec; 4]) -> Result<Self, CodecError> {
+        let encoders = [
+            HuffmanEncoder::from_spec(&specs[0])?,
+            HuffmanEncoder::from_spec(&specs[1])?,
+            HuffmanEncoder::from_spec(&specs[2])?,
+            HuffmanEncoder::from_spec(&specs[3])?,
+        ];
+        Ok(ScanTables { specs, encoders })
+    }
+
+    /// The Annex K standard tables.
+    pub(crate) fn standard() -> Result<Self, CodecError> {
+        ScanTables::from_specs([
+            HuffmanSpec::standard_dc_luma(),
+            HuffmanSpec::standard_ac_luma(),
+            HuffmanSpec::standard_dc_chroma(),
+            HuffmanSpec::standard_ac_chroma(),
+        ])
+    }
+
+    /// Per-image optimized tables built from the symbol frequencies of
+    /// `tokens` (a whole image's, so every table has symbols).
+    pub(crate) fn optimized(tokens: &[u32]) -> Result<Self, CodecError> {
+        let mut freqs = [[0u64; 256]; 4];
+        for &t in tokens {
+            freqs[token_table(t)][usize::from(token_symbol(t))] += 1;
+        }
+        ScanTables::from_specs([
+            HuffmanSpec::from_frequencies(&freqs[0])?,
+            HuffmanSpec::from_frequencies(&freqs[1])?,
+            HuffmanSpec::from_frequencies(&freqs[2])?,
+            HuffmanSpec::from_frequencies(&freqs[3])?,
+        ])
+    }
+
+    /// Writes one token through its table.
+    #[inline]
+    pub(crate) fn emit(&self, writer: &mut BitWriter, token: u32) {
+        emit_token(writer, &self.encoders[token_table(token)], token);
+    }
+}
+
 /// Encodes one zig-zag-ordered quantized block. `prev_dc` is the previous
 /// block's DC level for the same component (DPCM state); returns the new DC.
 ///
@@ -60,64 +183,36 @@ pub fn encode_block(
     zz: &[i32; 64],
     prev_dc: i32,
 ) -> i32 {
-    // DC: category symbol + mantissa of the difference.
-    let diff = zz[0] - prev_dc;
-    let cat = category(diff);
-    assert!(cat <= 11, "DC difference out of baseline range");
-    dc_table.encode(writer, cat);
-    if cat > 0 {
-        writer.put(mantissa(diff, cat), u32::from(cat));
-    }
-    // AC: (run, size) symbols.
-    let mut run = 0u32;
-    for &v in &zz[1..] {
-        if v == 0 {
-            run += 1;
-            continue;
-        }
-        while run >= 16 {
-            ac_table.encode(writer, ZRL);
-            run -= 16;
-        }
-        let cat = category(v);
-        assert!(cat <= 10, "AC coefficient out of baseline range");
-        ac_table.encode(writer, ((run as u8) << 4) | cat);
-        writer.put(mantissa(v, cat), u32::from(cat));
-        run = 0;
-    }
-    if run > 0 {
-        ac_table.encode(writer, EOB);
-    }
-    zz[0]
+    tokenize_block(zz, prev_dc, false, |t| {
+        let table = if token_table(t) == DC_LUMA {
+            dc_table
+        } else {
+            ac_table
+        };
+        emit_token(writer, table, t);
+    })
 }
 
 /// Tallies the Huffman symbols `encode_block` would emit, for building
 /// optimized tables in a first pass.
+///
+/// # Panics
+///
+/// As [`encode_block`].
 pub fn tally_block(
     dc_freqs: &mut [u64; 256],
     ac_freqs: &mut [u64; 256],
     zz: &[i32; 64],
     prev_dc: i32,
 ) -> i32 {
-    let diff = zz[0] - prev_dc;
-    dc_freqs[category(diff) as usize] += 1;
-    let mut run = 0u32;
-    for &v in &zz[1..] {
-        if v == 0 {
-            run += 1;
-            continue;
-        }
-        while run >= 16 {
-            ac_freqs[ZRL as usize] += 1;
-            run -= 16;
-        }
-        ac_freqs[(((run as u8) << 4) | category(v)) as usize] += 1;
-        run = 0;
-    }
-    if run > 0 {
-        ac_freqs[EOB as usize] += 1;
-    }
-    zz[0]
+    tokenize_block(zz, prev_dc, false, |t| {
+        let freqs = if token_table(t) == DC_LUMA {
+            &mut *dc_freqs
+        } else {
+            &mut *ac_freqs
+        };
+        freqs[usize::from(token_symbol(t))] += 1;
+    })
 }
 
 /// Decodes one zig-zag-ordered block; mirror of [`encode_block`].
@@ -168,7 +263,6 @@ pub fn decode_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::huffman::HuffmanSpec;
 
     #[test]
     fn category_boundaries() {

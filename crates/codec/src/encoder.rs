@@ -1,9 +1,9 @@
 use crate::bitstream::BitWriter;
 use crate::block::{blocks_along, plane_to_blocks};
-use crate::coeffs::{encode_block, tally_block};
+use crate::coeffs::{tokenize_block, ScanTables};
 use crate::color::image_to_planes;
 use crate::dct::forward_dct_8x8;
-use crate::huffman::{HuffmanEncoder, HuffmanSpec};
+use crate::huffman::HuffmanSpec;
 use crate::marker::{
     jfif_app0_payload, write_marker, write_segment, APP0, DHT, DQT, EOI, SOF0, SOI, SOS,
 };
@@ -19,7 +19,7 @@ pub(crate) fn write_headers(
     tables: &QuantTablePair,
     width: usize,
     height: usize,
-    specs: [&HuffmanSpec; 4],
+    specs: &[HuffmanSpec; 4],
 ) {
     write_marker(out, SOI);
     write_segment(out, APP0, &jfif_app0_payload());
@@ -50,12 +50,7 @@ pub(crate) fn write_headers(
     }
     write_segment(out, SOF0, &sof);
     // DHT: class 0 = DC, class 1 = AC; destination 0 = luma, 1 = chroma.
-    for (class_dest, spec) in [
-        (0x00u8, specs[0]),
-        (0x10, specs[1]),
-        (0x01, specs[2]),
-        (0x11, specs[3]),
-    ] {
+    for (class_dest, spec) in [0x00u8, 0x10, 0x01, 0x11].into_iter().zip(specs) {
         let mut payload = Vec::with_capacity(17 + spec.values.len());
         payload.push(class_dest);
         payload.extend_from_slice(&spec.bits);
@@ -208,8 +203,10 @@ impl Encoder {
     /// Encodes an RGB image to a complete JFIF byte stream.
     ///
     /// A thin adapter over [`StreamEncoder`]: the image is fed strip by
-    /// strip through a fresh [`EncodeWorkspace`] (twice when optimized
-    /// Huffman tables are on — the analysis pass, then the encode pass).
+    /// strip through a fresh [`EncodeWorkspace`]. With optimized Huffman
+    /// tables on, the strips go through the analysis pass, which
+    /// transforms each strip once and records its entropy tokens, then
+    /// through the encode pass, which emits those tokens.
     /// Use [`encode_with`](Self::encode_with) to reuse a workspace across
     /// images, or [`stream_encoder`](Self::stream_encoder) to feed strips
     /// yourself with O(strip) memory.
@@ -225,7 +222,10 @@ impl Encoder {
 
     /// [`encode`](Self::encode) through a caller-owned, reusable
     /// [`EncodeWorkspace`] — no per-block heap allocation once the
-    /// workspace is warm.
+    /// workspace is warm. The workspace also carries an optimized encode's
+    /// entropy tokens from its analysis pass to its encode pass; its token
+    /// buffer keeps its capacity, so it stops growing once it has held the
+    /// largest image.
     ///
     /// # Errors
     ///
@@ -293,76 +293,29 @@ impl Encoder {
             }
         }
 
-        // Choose Huffman specifications.
-        let (dc_luma, ac_luma, dc_chroma, ac_chroma) = if self.optimize_huffman {
-            self.optimized_specs(coeffs)?
-        } else {
-            (
-                HuffmanSpec::standard_dc_luma(),
-                HuffmanSpec::standard_ac_luma(),
-                HuffmanSpec::standard_dc_chroma(),
-                HuffmanSpec::standard_ac_chroma(),
-            )
-        };
-        let enc_dc_l = HuffmanEncoder::from_spec(&dc_luma)?;
-        let enc_ac_l = HuffmanEncoder::from_spec(&ac_luma)?;
-        let enc_dc_c = HuffmanEncoder::from_spec(&dc_chroma)?;
-        let enc_ac_c = HuffmanEncoder::from_spec(&ac_chroma)?;
-
-        let mut out = Vec::new();
-        write_headers(
-            &mut out,
-            &self.tables,
-            w,
-            h,
-            [&dc_luma, &ac_luma, &dc_chroma, &ac_chroma],
-        );
-
-        // Entropy-coded interleaved scan: per MCU (= one block position in
+        // Tokenize the interleaved scan: per MCU (= one block position in
         // 4:4:4), Y then Cb then Cr.
-        let mut writer = BitWriter::new();
+        let mut tokens = Vec::new();
         let mut prev_dc = [0i32; 3];
         for b in 0..bw * bh {
             for (ci, (plane, prev)) in coeffs.planes.iter().zip(prev_dc.iter_mut()).enumerate() {
-                let (dce, ace) = if ci == 0 {
-                    (&enc_dc_l, &enc_ac_l)
-                } else {
-                    (&enc_dc_c, &enc_ac_c)
-                };
-                *prev = encode_block(&mut writer, dce, ace, &plane[b], *prev);
+                *prev = tokenize_block(&plane[b], *prev, ci > 0, |t| tokens.push(t));
             }
+        }
+        let tables = if self.optimize_huffman {
+            ScanTables::optimized(&tokens)?
+        } else {
+            ScanTables::standard()?
+        };
+        let mut out = Vec::new();
+        write_headers(&mut out, &self.tables, w, h, &tables.specs);
+        let mut writer = BitWriter::new();
+        for t in tokens {
+            tables.emit(&mut writer, t);
         }
         out.extend_from_slice(&writer.finish());
         write_marker(&mut out, EOI);
         Ok(out)
-    }
-
-    fn optimized_specs(
-        &self,
-        coeffs: &CoefficientPlanes,
-    ) -> Result<(HuffmanSpec, HuffmanSpec, HuffmanSpec, HuffmanSpec), CodecError> {
-        let mut dc_l = [0u64; 256];
-        let mut ac_l = [0u64; 256];
-        let mut dc_c = [0u64; 256];
-        let mut ac_c = [0u64; 256];
-        let nblocks = coeffs.planes[0].len();
-        let mut prev_dc = [0i32; 3];
-        for b in 0..nblocks {
-            for (ci, (plane, prev)) in coeffs.planes.iter().zip(prev_dc.iter_mut()).enumerate() {
-                let (dcf, acf) = if ci == 0 {
-                    (&mut dc_l, &mut ac_l)
-                } else {
-                    (&mut dc_c, &mut ac_c)
-                };
-                *prev = tally_block(dcf, acf, &plane[b], *prev);
-            }
-        }
-        Ok((
-            HuffmanSpec::from_frequencies(&dc_l)?,
-            HuffmanSpec::from_frequencies(&ac_l)?,
-            HuffmanSpec::from_frequencies(&dc_c)?,
-            HuffmanSpec::from_frequencies(&ac_c)?,
-        ))
     }
 }
 

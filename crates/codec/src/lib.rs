@@ -26,8 +26,10 @@
 //! Both directions are thin adapters over the streaming stage pipeline
 //! ([`stream`]): [`StreamEncoder`]/[`StreamDecoder`] process 8-pixel-high
 //! block strips through reusable [`EncodeWorkspace`]/[`DecodeWorkspace`]
-//! buffers, so arbitrarily large images compress in O(strip) memory with
-//! no per-block allocation (see `docs/CODEC_PIPELINE.md`). Per-stage
+//! buffers, so arbitrarily large images compress in O(strip) pixel memory
+//! with no per-block allocation; an optimized-Huffman encode also keeps the
+//! image's entropy tokens between its two passes, so each image is
+//! transformed once (see `docs/CODEC_PIPELINE.md`). Per-stage
 //! strip timings are available behind the [`profile`] seam
 //! (`deepn pipeline --profile`) without the codec ever reading a clock
 //! itself — and without changing output bytes.

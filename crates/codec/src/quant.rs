@@ -132,11 +132,12 @@ impl QuantTable {
         *self.values.iter().max().expect("table is non-empty")
     }
 
-    /// Quantizes a DCT coefficient block: `round(c / q)` per entry.
+    /// Quantizes a DCT coefficient block: `round(c / q)` per entry, ties
+    /// away from zero.
     pub fn quantize(&self, coeffs: &Block) -> [i32; 64] {
         let mut out = [0i32; 64];
         for ((o, &c), &q) in out.iter_mut().zip(coeffs.iter()).zip(self.values.iter()) {
-            *o = (c / f32::from(q)).round() as i32;
+            *o = round_to_i32(c / f32::from(q));
         }
         out
     }
@@ -149,6 +150,26 @@ impl QuantTable {
         }
         out
     }
+}
+
+/// `x.round() as i32` for every `f32` (ties away from zero, saturating,
+/// NaN to 0) without calling libm's `roundf`, which the baseline x86-64
+/// target compiles `f32::round` to — once per coefficient.
+///
+/// `t` truncates toward zero and `f = x - t` is the exact fractional part
+/// (for |x| < 2²³ both are exact; from there to the `i32` limits `x` is a
+/// whole number and `f` is 0).
+/// `t` then moves one step away from zero when `|f| >= 0.5`. The `|f| < 1`
+/// bound leaves the saturated cases alone: for ±∞ and for finite values
+/// outside the `i32` range, `f` is infinite or a whole number. Branch-free
+/// on purpose — the fractions are random, so a branch would mispredict.
+#[inline]
+fn round_to_i32(x: f32) -> i32 {
+    let t = x as i32;
+    let f = x - t as f32;
+    let up = i32::from((0.5..1.0).contains(&f));
+    let down = i32::from((f <= -0.5) & (f > -1.0));
+    t.wrapping_add(up).wrapping_sub(down)
 }
 
 /// The luma/chroma table pair carried by an encoder (JPEG allows up to four
@@ -252,6 +273,65 @@ mod tests {
         let p = QuantTablePair::uniform(4);
         assert!(p.luma.values().iter().all(|&v| v == 4));
         assert!(p.chroma.values().iter().all(|&v| v == 4));
+    }
+
+    /// Checks the helper against `f32::round` on one value.
+    fn assert_rounds_like_std(x: f32) {
+        assert_eq!(
+            round_to_i32(x),
+            x.round() as i32,
+            "x = {x:e} ({:#010x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn rounding_matches_std_on_the_edge_cases() {
+        let half = 0.5f32;
+        let two23 = 8_388_608.0f32; // 2^23: the first f32 with no fraction bits
+        let two31 = 2_147_483_648.0f32;
+        let magnitudes = [
+            0.0,
+            half,
+            f32::from_bits(half.to_bits() - 1), // 0.5 - 1 ulp
+            f32::from_bits(half.to_bits() + 1), // 0.5 + 1 ulp
+            1.5,
+            2.5,
+            two23 - 1.0,
+            two23 - 0.5,
+            two23,
+            two23 + 1.0,
+            two31,
+            f32::from_bits(two31.to_bits() - 1),
+            f32::from_bits(two31.to_bits() + 1),
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+        ];
+        for m in magnitudes {
+            assert_rounds_like_std(m);
+            assert_rounds_like_std(-m);
+        }
+        assert_rounds_like_std(f32::MIN);
+        assert_rounds_like_std(f32::NAN);
+        assert_rounds_like_std(-f32::NAN);
+        assert_eq!(round_to_i32(-0.5), -1);
+        assert_eq!(round_to_i32(2.5), 3);
+        assert_eq!(round_to_i32(f32::INFINITY), i32::MAX);
+        assert_eq!(round_to_i32(f32::NEG_INFINITY), i32::MIN);
+        assert_eq!(round_to_i32(f32::NAN), 0);
+    }
+
+    /// Every one of the 2^32 bit patterns. Slow in a debug build; CI runs
+    /// it with `cargo test --release -p deepn-codec -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over all f32 bit patterns; run in release"]
+    fn rounding_matches_std_on_every_f32() {
+        let mismatches = (0..=u32::MAX)
+            .map(f32::from_bits)
+            .filter(|&x| round_to_i32(x) != x.round() as i32)
+            .count();
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

@@ -26,10 +26,12 @@
 //!
 //! Per-image optimized Huffman tables (the [`Encoder`] default) need the
 //! whole image's symbol statistics before the first header byte can be
-//! written, so an optimized session is **two passes over the strips**:
-//! every strip through [`StreamEncoder::analyze_strip`] (O(1) tally
-//! state), then every strip again through
-//! [`StreamEncoder::encode_strip`]. With
+//! written, so an optimized session is **two passes over the strips**,
+//! both through one [`EncodeWorkspace`]. [`StreamEncoder::analyze_strip`]
+//! transforms every strip once and records its entropy tokens (one `u32`
+//! per Huffman symbol) in the workspace; [`StreamEncoder::encode_strip`]
+//! then checks each strip's shape and emits that strip's tokens through
+//! tables built from their counts, without transforming it again. With
 //! [`optimize_huffman(false)`](crate::Encoder::optimize_huffman) the
 //! session is single-pass — the mode for sources that cannot be rewound,
 //! like the network strips of `deepn-serve`'s `CompressStream`.
@@ -60,16 +62,16 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::block::{blocks_along, Block, BLOCK_SIZE};
-use crate::coeffs::{decode_block, encode_block, tally_block};
+use crate::coeffs::{decode_block, tokenize_block, ScanTables};
 use crate::color::{rgb_to_ycbcr, ycbcr_to_rgb};
 use crate::dct::{forward_dct_8x8, inverse_dct_8x8};
 use crate::decoder::ScanSetup;
 use crate::encoder::write_headers;
-use crate::huffman::{HuffmanEncoder, HuffmanSpec};
 use crate::marker::{write_marker, EOI};
 use crate::profile::{self, maybe_timer, Profiler, Stage};
 use crate::zigzag::{scan, unscan};
 use crate::{CodecError, Encoder, QuantTablePair, RgbImage};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Height of one strip — one row of 8×8 blocks.
 pub const STRIP_ROWS: usize = BLOCK_SIZE;
@@ -168,6 +170,10 @@ impl PixelStrip {
 /// Caller-owned scratch buffers for the encode-side stages. Buffers are
 /// sized on first use and reused verbatim while the strip width is
 /// unchanged — the steady-state strip loop allocates nothing per block.
+///
+/// Between an optimized session's two passes the workspace also holds
+/// that session's entropy tokens, so both passes must use the same
+/// workspace.
 #[derive(Debug, Default)]
 pub struct EncodeWorkspace {
     width: usize,
@@ -179,6 +185,12 @@ pub struct EncodeWorkspace {
     /// fused Dct+Quantize loop into two loops to time each stage; sized
     /// lazily so unprofiled sessions never pay for it.
     dct: Vec<Block>,
+    /// Entropy tokens of the latest analysis pass, in scan order.
+    tokens: Vec<u32>,
+    /// End offset in `tokens` of each analyzed strip.
+    strip_ends: Vec<usize>,
+    /// Id of the session whose analysis `tokens` holds (0: none).
+    owner: u64,
 }
 
 impl EncodeWorkspace {
@@ -332,34 +344,9 @@ fn transform_strip(
     }
 }
 
-/// Symbol-frequency tallies for the optimized-Huffman analysis pass —
-/// O(1) state regardless of image size.
-#[derive(Debug)]
-struct Tallies {
-    dc_luma: [u64; 256],
-    ac_luma: [u64; 256],
-    dc_chroma: [u64; 256],
-    ac_chroma: [u64; 256],
-}
-
-impl Default for Tallies {
-    fn default() -> Self {
-        Tallies {
-            dc_luma: [0; 256],
-            ac_luma: [0; 256],
-            dc_chroma: [0; 256],
-            ac_chroma: [0; 256],
-        }
-    }
-}
-
-#[derive(Debug)]
-struct EntropyEncoders {
-    dc_luma: HuffmanEncoder,
-    ac_luma: HuffmanEncoder,
-    dc_chroma: HuffmanEncoder,
-    ac_chroma: HuffmanEncoder,
-}
+/// Source of session ids, which tie a workspace's tokens to the session
+/// that recorded them (0 is never issued).
+static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 
 /// A push-based streaming encode session created by
 /// [`StreamEncoder::new`] (or [`Encoder::stream_encoder`]). Strips are fed
@@ -369,14 +356,15 @@ struct EntropyEncoders {
 #[derive(Debug)]
 pub struct StreamEncoder<'e> {
     encoder: &'e Encoder,
+    id: u64,
     width: usize,
     height: usize,
     strip_count: usize,
     analyzed: usize,
     encoded: usize,
-    tallies: Option<Box<Tallies>>,
-    entropy: Option<EntropyEncoders>,
-    analyze_prev_dc: [i32; 3],
+    entropy: Option<ScanTables>,
+    /// DC prediction state of the pass that tokenizes: the analysis pass
+    /// when optimized, else the encode pass.
     prev_dc: [i32; 3],
     writer: BitWriter,
     out: Vec<u8>,
@@ -394,17 +382,16 @@ impl<'e> StreamEncoder<'e> {
         if width == 0 || height == 0 || width > 0xFFFF || height > 0xFFFF {
             return Err(CodecError::InvalidDimensions { width, height });
         }
-        let optimize = encoder.huffman_optimized();
         Ok(StreamEncoder {
             encoder,
+            // A unique id; it publishes no other data.
+            id: NEXT_SESSION.fetch_add(1, Ordering::Relaxed),
             width,
             height,
             strip_count: strip_count_for(height),
             analyzed: 0,
             encoded: 0,
-            tallies: optimize.then(Box::default),
             entropy: None,
-            analyze_prev_dc: [0; 3],
             prev_dc: [0; 3],
             writer: BitWriter::new(),
             out: Vec::new(),
@@ -462,15 +449,19 @@ impl<'e> StreamEncoder<'e> {
         Ok(())
     }
 
-    /// Analysis-pass step: runs stages 1–5 on the strip and folds the
-    /// entropy symbols into the optimized-Huffman tallies. Must be called
-    /// for every strip, in order, before the first
-    /// [`encode_strip`](Self::encode_strip).
+    /// Analysis-pass step: runs stages 1–5 on the strip and appends its
+    /// entropy tokens to `ws`, which holds them for the encode pass. Must
+    /// be called for every strip, in order, before the first
+    /// [`encode_strip`](Self::encode_strip), and every strip of one
+    /// session must go to the same workspace; the first strip discards
+    /// whatever tokens `ws` held.
     ///
     /// # Errors
     ///
     /// [`CodecError::StreamState`] on out-of-order or mis-shaped strips,
-    /// or when the encoder uses standard tables (no analysis needed).
+    /// when the encoder uses standard tables (no analysis needed), or when
+    /// another session has analyzed into `ws` since this session's
+    /// previous strip.
     pub fn analyze_strip(
         &mut self,
         strip: &PixelStrip,
@@ -487,114 +478,123 @@ impl<'e> StreamEncoder<'e> {
             ));
         }
         self.check_strip(strip, self.analyzed)?;
+        if self.analyzed == 0 {
+            ws.tokens.clear();
+            ws.strip_ends.clear();
+            ws.owner = self.id;
+        } else if ws.owner != self.id {
+            return Err(CodecError::StreamState(
+                "another session analyzed into this workspace mid-pass".into(),
+            ));
+        }
         {
             let _t = maybe_timer(self.prof, Stage::EncodeColor);
             blockize_strip(strip, ws);
         }
         transform_strip(ws, self.encoder.tables(), self.prof);
         let _t = maybe_timer(self.prof, Stage::EncodeEntropy);
-        let t = self
-            .tallies
-            .as_mut()
-            .expect("optimized sessions hold tallies until encoding starts");
         let bw = ws.bw;
         for b in 0..bw {
             for ci in 0..3 {
-                let (dcf, acf) = if ci == 0 {
-                    (&mut t.dc_luma, &mut t.ac_luma)
-                } else {
-                    (&mut t.dc_chroma, &mut t.ac_chroma)
-                };
-                self.analyze_prev_dc[ci] =
-                    tally_block(dcf, acf, &ws.coeffs[ci * bw + b], self.analyze_prev_dc[ci]);
+                self.prev_dc[ci] =
+                    tokenize_block(&ws.coeffs[ci * bw + b], self.prev_dc[ci], ci > 0, |t| {
+                        ws.tokens.push(t)
+                    });
             }
         }
+        ws.strip_ends.push(ws.tokens.len());
         self.analyzed += 1;
         Ok(())
     }
 
-    /// Builds the Huffman encoders and emits every header segment — runs
-    /// once, before the first strip's scan bytes.
-    fn begin(&mut self) -> Result<(), CodecError> {
-        let specs = match self.tallies.take() {
-            Some(t) => (
-                HuffmanSpec::from_frequencies(&t.dc_luma)?,
-                HuffmanSpec::from_frequencies(&t.ac_luma)?,
-                HuffmanSpec::from_frequencies(&t.dc_chroma)?,
-                HuffmanSpec::from_frequencies(&t.ac_chroma)?,
-            ),
-            None => (
-                HuffmanSpec::standard_dc_luma(),
-                HuffmanSpec::standard_ac_luma(),
-                HuffmanSpec::standard_dc_chroma(),
-                HuffmanSpec::standard_ac_chroma(),
-            ),
+    /// Builds the Huffman tables — optimized ones from the counts of the
+    /// analysis pass's tokens — and emits every header segment. Runs once,
+    /// before the first strip's scan bytes.
+    fn begin(&mut self, ws: &EncodeWorkspace) -> Result<(), CodecError> {
+        let tables = if self.needs_analysis_pass() {
+            ScanTables::optimized(&ws.tokens)?
+        } else {
+            ScanTables::standard()?
         };
-        self.entropy = Some(EntropyEncoders {
-            dc_luma: HuffmanEncoder::from_spec(&specs.0)?,
-            ac_luma: HuffmanEncoder::from_spec(&specs.1)?,
-            dc_chroma: HuffmanEncoder::from_spec(&specs.2)?,
-            ac_chroma: HuffmanEncoder::from_spec(&specs.3)?,
-        });
         write_headers(
             &mut self.out,
             self.encoder.tables(),
             self.width,
             self.height,
-            [&specs.0, &specs.1, &specs.2, &specs.3],
+            &tables.specs,
         );
+        self.entropy = Some(tables);
         Ok(())
     }
 
-    /// Encode-pass step: stages 1–5 on the strip, then the sequential
-    /// Entropy stage (DC prediction chains through the scan, so strips
-    /// must arrive in order). Headers are emitted with the first strip.
+    /// Encode-pass step, emitting the strip's share of the entropy-coded
+    /// scan (DC prediction chains through the scan, so strips must arrive
+    /// in order). Headers are emitted with the first strip.
+    ///
+    /// An optimized session only checks the strip's shape and emits the
+    /// tokens its analysis pass recorded in `ws` for this strip: the
+    /// pixels were transformed once, by
+    /// [`analyze_strip`](Self::analyze_strip), and the output is the
+    /// encoding of what that pass saw. A standard-Huffman session runs
+    /// stages 1–5 on the strip, then entropy-codes it.
     ///
     /// # Errors
     ///
     /// [`CodecError::StreamState`] on out-of-order or mis-shaped strips,
-    /// or when an optimized session's analysis pass is incomplete.
+    /// when an optimized session's analysis pass is incomplete, or when
+    /// `ws` does not hold this session's analysis (a different workspace,
+    /// or one another optimized session has analyzed into since).
     pub fn encode_strip(
         &mut self,
         strip: &PixelStrip,
         ws: &mut EncodeWorkspace,
     ) -> Result<(), CodecError> {
-        if self.needs_analysis_pass() && self.analyzed < self.strip_count {
+        let optimized = self.needs_analysis_pass();
+        if optimized && self.analyzed < self.strip_count {
             return Err(CodecError::StreamState(format!(
                 "optimized-Huffman sessions need the full analysis pass first \
                  ({}/{} strips analyzed)",
                 self.analyzed, self.strip_count
             )));
         }
+        if optimized && ws.owner != self.id {
+            return Err(CodecError::StreamState(
+                "the workspace does not hold this session's analysis pass".into(),
+            ));
+        }
         self.check_strip(strip, self.encoded)?;
         if self.encoded == 0 {
-            self.begin()?;
+            self.begin(ws)?;
         }
-        {
-            let _t = maybe_timer(self.prof, Stage::EncodeColor);
-            blockize_strip(strip, ws);
+        if !optimized {
+            {
+                let _t = maybe_timer(self.prof, Stage::EncodeColor);
+                blockize_strip(strip, ws);
+            }
+            transform_strip(ws, self.encoder.tables(), self.prof);
         }
-        transform_strip(ws, self.encoder.tables(), self.prof);
         let _t = maybe_timer(self.prof, Stage::EncodeEntropy);
-        let e = self
+        let tables = self
             .entropy
             .as_ref()
-            .expect("begin() built the entropy encoders");
-        let bw = ws.bw;
-        for b in 0..bw {
-            for ci in 0..3 {
-                let (dce, ace) = if ci == 0 {
-                    (&e.dc_luma, &e.ac_luma)
-                } else {
-                    (&e.dc_chroma, &e.ac_chroma)
-                };
-                self.prev_dc[ci] = encode_block(
-                    &mut self.writer,
-                    dce,
-                    ace,
-                    &ws.coeffs[ci * bw + b],
-                    self.prev_dc[ci],
-                );
+            .expect("begin() built the entropy tables");
+        if optimized {
+            let start = match self.encoded {
+                0 => 0,
+                s => ws.strip_ends[s - 1],
+            };
+            for &t in &ws.tokens[start..ws.strip_ends[self.encoded]] {
+                tables.emit(&mut self.writer, t);
+            }
+        } else {
+            let bw = ws.bw;
+            for b in 0..bw {
+                for ci in 0..3 {
+                    self.prev_dc[ci] =
+                        tokenize_block(&ws.coeffs[ci * bw + b], self.prev_dc[ci], ci > 0, |t| {
+                            tables.emit(&mut self.writer, t)
+                        });
+                }
             }
         }
         self.encoded += 1;
@@ -910,6 +910,101 @@ mod tests {
         // Finishing early.
         let s = StreamEncoder::new(&std_enc, 10, 20).expect("open");
         assert!(matches!(s.finish(), Err(CodecError::StreamState(_))));
+    }
+
+    /// Deterministic noise: every pixel differs from its neighbours.
+    fn noisy(width: usize, height: usize) -> RgbImage {
+        let data = (0..width * height * 3)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8)
+            .collect();
+        RgbImage::from_bytes(width, height, data).expect("sized buffer")
+    }
+
+    #[test]
+    fn encode_pass_emits_the_analyzed_image_whatever_its_strips_hold() {
+        // Strips of the right shape but other pixels: the encode pass
+        // emits the analysis pass's tokens, so the output encodes the
+        // analyzed image. (Re-transforming the noisy strips would need
+        // symbols the flat image's optimized tables never coded.)
+        let enc = Encoder::with_quality(75);
+        let (flat, noise) = (RgbImage::gradient(64, 16), noisy(64, 16));
+        let mut ws = EncodeWorkspace::new();
+        let mut session = StreamEncoder::new(&enc, 64, 16).expect("open");
+        let mut strip = PixelStrip::new();
+        for s in 0..session.strip_count() {
+            strip.copy_from_image(&flat, s);
+            session.analyze_strip(&strip, &mut ws).expect("analyze");
+        }
+        for s in 0..session.strip_count() {
+            strip.copy_from_image(&noise, s);
+            session.encode_strip(&strip, &mut ws).expect("encode");
+        }
+        assert_eq!(
+            session.finish().expect("finish"),
+            enc.encode(&flat).expect("oneshot")
+        );
+    }
+
+    #[test]
+    fn encode_pass_refuses_a_workspace_without_its_analysis() {
+        let enc = Encoder::with_quality(75);
+        let img = RgbImage::gradient(16, 16);
+        let other = noisy(16, 16);
+        let mut strip = PixelStrip::new();
+        let analyze =
+            |session: &mut StreamEncoder<'_>, img: &RgbImage, ws: &mut EncodeWorkspace| {
+                let mut strip = PixelStrip::new();
+                for s in 0..session.strip_count() {
+                    strip.copy_from_image(img, s);
+                    session.analyze_strip(&strip, ws).expect("analyze");
+                }
+            };
+        strip.copy_from_image(&img, 0);
+
+        // Analyzed into one workspace, encoded through a fresh one.
+        let mut ws = EncodeWorkspace::new();
+        let mut a = StreamEncoder::new(&enc, 16, 16).expect("open");
+        analyze(&mut a, &img, &mut ws);
+        assert!(matches!(
+            a.encode_strip(&strip, &mut EncodeWorkspace::new()),
+            Err(CodecError::StreamState(_))
+        ));
+
+        // Another optimized session analyzed into the workspace since.
+        let mut b = StreamEncoder::new(&enc, 16, 16).expect("open");
+        analyze(&mut b, &other, &mut ws);
+        assert!(matches!(
+            a.encode_strip(&strip, &mut ws),
+            Err(CodecError::StreamState(_))
+        ));
+        // ... or began to, mid-way through this session's analysis.
+        let mut c = StreamEncoder::new(&enc, 16, 16).expect("open");
+        c.analyze_strip(&strip, &mut ws).expect("analyze");
+        analyze(
+            &mut StreamEncoder::new(&enc, 16, 16).expect("open"),
+            &other,
+            &mut ws,
+        );
+        strip.copy_from_image(&img, 1);
+        assert!(matches!(
+            c.analyze_strip(&strip, &mut ws),
+            Err(CodecError::StreamState(_))
+        ));
+
+        // A standard-Huffman session sharing the workspace between the
+        // passes leaves the analysis intact.
+        let mut d = StreamEncoder::new(&enc, 16, 16).expect("open");
+        analyze(&mut d, &other, &mut ws);
+        let std_enc = Encoder::with_quality(75).optimize_huffman(false);
+        std_enc.encode_with(&img, &mut ws).expect("standard encode");
+        for s in 0..d.strip_count() {
+            strip.copy_from_image(&other, s);
+            d.encode_strip(&strip, &mut ws).expect("encode");
+        }
+        assert_eq!(
+            d.finish().expect("finish"),
+            enc.encode(&other).expect("oneshot")
+        );
     }
 
     #[test]

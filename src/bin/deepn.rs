@@ -362,11 +362,15 @@ fn cmd_compress(mut args: Args) -> Result<(), Box<dyn Error>> {
             println!("verify OK: service bytes identical to the local single-pass codec");
         }
     } else {
-        // Local path: the PPM streams through the codec strip by strip —
-        // twice, because the optimized-Huffman analysis pass needs the
-        // whole image's symbol statistics before the first header byte
-        // (the file is simply reopened). Peak pixel memory is one 8-row
-        // strip, whatever the image size.
+        // Local path: the PPM streams through the codec strip by strip,
+        // twice (the file is simply reopened), because optimized Huffman
+        // tables need the whole image's symbols before the first header
+        // byte. The analysis pass transforms each strip once and keeps its
+        // entropy tokens in the workspace; the encode pass checks each
+        // strip's shape and emits those tokens, so the output encodes what
+        // the first read saw. Peak pixel memory is one 8-row strip,
+        // whatever the image size; the tokens take at most 4 bytes per
+        // coefficient.
         let encoder = encoder.as_ref().expect("local encoding requires --tables");
         let mut session = encoder.stream_encoder(w, h)?;
         let mut ws = EncodeWorkspace::new();
