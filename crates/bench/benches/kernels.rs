@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks of the computational substrates plus
 //! size-ablation measurements for the design choices DESIGN.md calls out
 //! (magnitude vs position segmentation, optimized vs standard Huffman).
+//! They measure time only: `tests/alloc_budget.rs` owns the streaming
+//! codec's allocation counts.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use deepn_codec::dct::{forward_dct_8x8, inverse_dct_8x8};
@@ -10,48 +12,7 @@ use deepn_core::experiment::{band_probe_tables, to_tensors};
 use deepn_core::{BandKind, DeepnTableBuilder, PlmParams, Segmentation};
 use deepn_dataset::{DatasetSpec, ImageSet};
 use deepn_nn::{stack_batch, zoo, Layer, Mode};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every heap allocation, so the `stream/*` benchmarks can report
-/// allocations-per-encode alongside time — the workspace path's claim is
-/// "no per-block allocation on the steady-state strip loop", which shows
-/// up as a per-image count that does NOT scale with the block count.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter has no
-// allocator-visible side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: forwards the exact `ptr`/`layout` pair it was given to the
-    // system allocator, upholding the caller's contract unchanged.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: forwards the caller's pointer, layout, and size verbatim;
-    // the counter bump has no allocator-visible side effects.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
 
 fn dataset() -> ImageSet {
     ImageSet::generate(&DatasetSpec::imagenet_standin(), 0xBEEF)
@@ -165,37 +126,11 @@ fn bench_parallel(c: &mut Criterion) {
     });
 }
 
-/// The streaming-codec workspace contract: `encode_with` through a warm
-/// `EncodeWorkspace` must match the throughput of the one-shot path while
-/// performing no per-block heap allocation on the steady-state strip loop.
-/// The allocation counts are printed per image at two sizes — a constant
-/// count across a 64x more blocks (32x32 -> 256x256) is the zero-per-block
-/// evidence.
+/// The streaming-codec workspace path against the one-shot path, both
+/// directions, on a 256×256 image: `encode_with`/`decode_with` through a
+/// warm workspace should match the one-shot throughput.
 fn bench_stream(c: &mut Criterion) {
     let enc = Encoder::with_quality(75);
-    for side in [32usize, 256] {
-        let img = deepn_codec::RgbImage::gradient(side, side);
-        let mut ws = EncodeWorkspace::new();
-        enc.encode_with(&img, &mut ws).expect("warm-up"); // size the buffers
-        let (oneshot_allocs, _) = allocations_during(|| enc.encode(&img));
-        let (warm_allocs, _) = allocations_during(|| enc.encode_with(&img, &mut ws));
-        let blocks = 3 * side.div_ceil(8) * side.div_ceil(8);
-        println!(
-            "[stream] encode {side}x{side} ({blocks} blocks): {oneshot_allocs} allocs oneshot \
-             vs {warm_allocs} warm-workspace"
-        );
-        let mut dec_ws = DecodeWorkspace::new();
-        let bytes = enc.encode(&img).expect("encodes");
-        let dec = Decoder::new();
-        dec.decode_with(&bytes, &mut dec_ws).expect("warm-up");
-        let (dec_oneshot, _) = allocations_during(|| dec.decode(&bytes));
-        let (dec_warm, _) = allocations_during(|| dec.decode_with(&bytes, &mut dec_ws));
-        println!(
-            "[stream] decode {side}x{side} ({blocks} blocks): {dec_oneshot} allocs oneshot \
-             vs {dec_warm} warm-workspace"
-        );
-    }
-
     let img = deepn_codec::RgbImage::gradient(256, 256);
     c.bench_function("stream/encode_oneshot", |b| {
         b.iter(|| enc.encode(black_box(&img)).expect("encodes"))

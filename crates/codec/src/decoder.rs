@@ -288,8 +288,14 @@ impl Decoder {
                     "chroma subsampling (only 4:4:4 is supported)".into(),
                 ));
             }
+            let quant_id = payload[8 + 3 * i];
+            if quant_id > 1 {
+                return Err(CodecError::BadQuantTable(format!(
+                    "component {i} references table {quant_id} > 1"
+                )));
+            }
             comps.push(FrameComponent {
-                quant_id: payload[8 + 3 * i],
+                quant_id,
                 dc_id: 0,
                 ac_id: 0,
             });
@@ -386,6 +392,30 @@ mod tests {
             .expect("encode");
         let cut = &bytes[..bytes.len() / 2];
         assert!(Decoder::new().decode(cut).is_err());
+    }
+
+    #[test]
+    fn out_of_range_frame_quant_selector_is_a_typed_error() {
+        let mut forged = Encoder::with_quality(75)
+            .encode(&RgbImage::gradient(7, 9))
+            .expect("encode");
+        // SOF0: marker (2), length (2), precision (1), height (2), width
+        // (2), component count (1), then (id, sampling, Tq) per component.
+        let sof0 = forged
+            .windows(2)
+            .position(|m| m == [0xFF, 0xC0])
+            .expect("SOF0 marker");
+        assert_eq!(forged[sof0 + 15], 1, "Cb selects the chroma table");
+        forged[sof0 + 15] = 2;
+        let dec = Decoder::new();
+        assert!(matches!(
+            dec.decode(&forged),
+            Err(CodecError::BadQuantTable(_))
+        ));
+        assert!(matches!(
+            dec.stream_decoder(&forged),
+            Err(CodecError::BadQuantTable(_))
+        ));
     }
 
     #[test]

@@ -29,10 +29,12 @@
 //! buffers, so arbitrarily large images compress in O(strip) pixel memory
 //! with no per-block allocation; an optimized-Huffman encode also keeps the
 //! image's entropy tokens between its two passes, so each image is
-//! transformed once (see `docs/CODEC_PIPELINE.md`). Per-stage
-//! strip timings are available behind the [`profile`] seam
-//! (`deepn pipeline --profile`) without the codec ever reading a clock
-//! itself — and without changing output bytes.
+//! transformed once (see `docs/CODEC_PIPELINE.md`). While tracing is on,
+//! the [`profile`] seam times every stage loop of a session, per strip,
+//! without the codec ever reading a clock itself (`deepn pipeline
+//! --profile` prints the table; a traced `deepn serve` scrape carries the
+//! histograms). Timed and untimed sessions run the same loops, so output
+//! bytes never change.
 //!
 //! ## Example
 //!

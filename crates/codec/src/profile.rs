@@ -1,68 +1,56 @@
-//! The `Profiler` seam: per-stage strip timings for the streaming
-//! pipeline, recorded into `deepn-trace` histograms.
+//! Per-stage strip timings for the streaming pipeline, recorded into
+//! `deepn-trace` histograms.
 //!
 //! The codec is inside the byte-identity determinism scope, so it never
 //! reads a clock directly — all timing goes through this module, which
 //! delegates to [`deepn_trace::tick`] (the workspace's single clock
-//! seam). Profiling is off by default; [`enable`] turns it on
-//! process-wide, and sessions capture the decision **at creation** so a
-//! session is profiled consistently for its whole life.
-//!
-//! Timing feeds histograms, never results: with profiling on, the fused
-//! Dct+Quantize transform pass runs as two passes staged through a
-//! workspace buffer so each stage can be timed separately — the same
-//! IEEE operations in the same order per value, so output bytes are
-//! identical either way (`tests/proptest_trace.rs` proves it).
+//! seam). Each timer wraps one loop the codec runs whether or not it is
+//! timed, so timing never changes what runs: one [`Stage`] per loop per
+//! strip. Timers record only while tracing is on
+//! ([`deepn_trace::enabled`]: `DEEPN_TRACE=1 deepn serve`,
+//! [`deepn_trace::set_enabled`], `deepn pipeline --profile` or
+//! `deepn trace-export`), and the histograms are registered by the first
+//! stage timed, so an untraced process never registers them.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// One pipeline stage, encode stages first. `Quant` covers Quantize +
-/// Zigzag (and `Dequant` their inverses) — the scan reorder is a few
-/// nanoseconds and not worth a separate series.
+/// One pipeline stage, encode stages first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Encode: ColorConvert + BlockSplit.
     EncodeColor,
-    /// Encode: forward DCT.
-    EncodeDct,
-    /// Encode: Quantize + Zigzag.
-    EncodeQuant,
-    /// Encode: Huffman entropy coding (sequential).
+    /// Encode: Dct + Quantize + Zigzag.
+    EncodeTransform,
+    /// Encode: Tokenize in the analysis pass, Huffman emit in the encode
+    /// pass, both in a standard-Huffman session's single pass.
     EncodeEntropy,
-    /// Decode: Huffman entropy decoding (sequential).
+    /// Decode: Huffman entropy decoding.
     DecodeEntropy,
-    /// Decode: Unzigzag + Dequantize.
-    DecodeDequant,
-    /// Decode: inverse DCT.
-    DecodeIdct,
+    /// Decode: Unzigzag + Dequantize + Idct.
+    DecodeTransform,
     /// Decode: BlockMerge + ColorConvert⁻¹.
     DecodeColor,
 }
 
 impl Stage {
     /// Every stage, encode pipeline first, in pipeline order.
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 6] = [
         Stage::EncodeColor,
-        Stage::EncodeDct,
-        Stage::EncodeQuant,
+        Stage::EncodeTransform,
         Stage::EncodeEntropy,
         Stage::DecodeEntropy,
-        Stage::DecodeDequant,
-        Stage::DecodeIdct,
+        Stage::DecodeTransform,
         Stage::DecodeColor,
     ];
 
-    /// Short human label (`encode.dct`).
+    /// Short human label (`encode.transform`).
     pub fn name(self) -> &'static str {
         match self {
             Stage::EncodeColor => "encode.color",
-            Stage::EncodeDct => "encode.dct",
-            Stage::EncodeQuant => "encode.quant",
+            Stage::EncodeTransform => "encode.transform",
             Stage::EncodeEntropy => "encode.entropy",
             Stage::DecodeEntropy => "decode.entropy",
-            Stage::DecodeDequant => "decode.dequant",
-            Stage::DecodeIdct => "decode.idct",
+            Stage::DecodeTransform => "decode.transform",
             Stage::DecodeColor => "decode.color",
         }
     }
@@ -71,132 +59,71 @@ impl Stage {
     pub fn metric(self) -> &'static str {
         match self {
             Stage::EncodeColor => "deepn_codec_encode_color_seconds",
-            Stage::EncodeDct => "deepn_codec_encode_dct_seconds",
-            Stage::EncodeQuant => "deepn_codec_encode_quant_seconds",
+            Stage::EncodeTransform => "deepn_codec_encode_transform_seconds",
             Stage::EncodeEntropy => "deepn_codec_encode_entropy_seconds",
             Stage::DecodeEntropy => "deepn_codec_decode_entropy_seconds",
-            Stage::DecodeDequant => "deepn_codec_decode_dequant_seconds",
-            Stage::DecodeIdct => "deepn_codec_decode_idct_seconds",
+            Stage::DecodeTransform => "deepn_codec_decode_transform_seconds",
             Stage::DecodeColor => "deepn_codec_decode_color_seconds",
         }
     }
 }
 
-/// The per-stage histogram set, registered once on the global
-/// `deepn-trace` registry.
-pub struct Profiler {
-    hists: [Arc<deepn_trace::Histogram>; 8],
-}
-
-impl std::fmt::Debug for Profiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Profiler").finish()
-    }
-}
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn instance() -> &'static Profiler {
-    static INSTANCE: OnceLock<Profiler> = OnceLock::new();
-    INSTANCE.get_or_init(|| {
+/// The per-stage histograms, in [`Stage::ALL`] order, registered once on
+/// the global `deepn-trace` registry.
+fn histograms() -> &'static [Arc<deepn_trace::Histogram>; 6] {
+    static HISTOGRAMS: OnceLock<[Arc<deepn_trace::Histogram>; 6]> = OnceLock::new();
+    HISTOGRAMS.get_or_init(|| {
         let r = deepn_trace::global();
-        Profiler {
-            hists: [
-                r.histogram(
-                    "deepn_codec_encode_color_seconds",
-                    "ColorConvert + BlockSplit time per encoded strip",
-                ),
-                r.histogram(
-                    "deepn_codec_encode_dct_seconds",
-                    "Forward DCT time per encoded strip",
-                ),
-                r.histogram(
-                    "deepn_codec_encode_quant_seconds",
-                    "Quantize + Zigzag time per encoded strip",
-                ),
-                r.histogram(
-                    "deepn_codec_encode_entropy_seconds",
-                    "Huffman entropy-coding time per encoded strip",
-                ),
-                r.histogram(
-                    "deepn_codec_decode_entropy_seconds",
-                    "Huffman entropy-decoding time per decoded strip",
-                ),
-                r.histogram(
-                    "deepn_codec_decode_dequant_seconds",
-                    "Unzigzag + Dequantize time per decoded strip",
-                ),
-                r.histogram(
-                    "deepn_codec_decode_idct_seconds",
-                    "Inverse DCT time per decoded strip",
-                ),
-                r.histogram(
-                    "deepn_codec_decode_color_seconds",
-                    "BlockMerge + inverse ColorConvert time per decoded strip",
-                ),
-            ],
-        }
+        [
+            r.histogram(
+                "deepn_codec_encode_color_seconds",
+                "ColorConvert + BlockSplit time per encoded strip",
+            ),
+            r.histogram(
+                "deepn_codec_encode_transform_seconds",
+                "Dct + Quantize + Zigzag time per encoded strip",
+            ),
+            r.histogram(
+                "deepn_codec_encode_entropy_seconds",
+                "Tokenize or Huffman-emit time per encoded strip and pass",
+            ),
+            r.histogram(
+                "deepn_codec_decode_entropy_seconds",
+                "Huffman entropy-decoding time per decoded strip",
+            ),
+            r.histogram(
+                "deepn_codec_decode_transform_seconds",
+                "Unzigzag + Dequantize + inverse DCT time per decoded strip",
+            ),
+            r.histogram(
+                "deepn_codec_decode_color_seconds",
+                "BlockMerge + inverse ColorConvert time per decoded strip",
+            ),
+        ]
     })
 }
 
-/// Turns stage profiling on process-wide (and registers the histograms).
-/// Sessions created from now on record per-stage strip timings.
-pub fn enable() {
-    instance();
-    ACTIVE.store(true, Ordering::Relaxed);
-}
-
-/// Turns stage profiling off for sessions created from now on.
-pub fn disable() {
-    ACTIVE.store(false, Ordering::Relaxed);
-}
-
-/// Whether stage profiling is currently on.
-pub fn is_enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// The profiler a session created right now should use: `Some` iff
-/// profiling is enabled.
-pub fn current() -> Option<&'static Profiler> {
-    if is_enabled() {
-        Some(instance())
-    } else {
-        None
-    }
-}
-
-impl Profiler {
-    /// Starts timing `stage`; the returned guard records on drop.
-    pub fn timer(&self, stage: Stage) -> StageTimer<'_> {
-        StageTimer {
-            hist: &self.hists[stage as usize],
-            start_ns: deepn_trace::tick(),
-        }
-    }
+/// Starts timing `stage` if tracing is on; the returned guard records on
+/// drop. Untraced, this is one relaxed atomic load and `None`.
+pub fn timer(stage: Stage) -> Option<StageTimer> {
+    deepn_trace::enabled().then(|| StageTimer {
+        hist: &histograms()[stage as usize],
+        start_ns: deepn_trace::tick(),
+    })
 }
 
 /// RAII stage timer: records the elapsed time into the stage's histogram
 /// when dropped.
 #[derive(Debug)]
-pub struct StageTimer<'p> {
-    hist: &'p deepn_trace::Histogram,
+pub struct StageTimer {
+    hist: &'static deepn_trace::Histogram,
     start_ns: u64,
 }
 
-impl Drop for StageTimer<'_> {
+impl Drop for StageTimer {
     fn drop(&mut self) {
         self.hist.record_since(self.start_ns);
     }
-}
-
-/// A timer for `stage` when a profiler is present, else nothing — the
-/// shape session code uses so unprofiled paths cost one `Option` check.
-pub(crate) fn maybe_timer(
-    prof: Option<&'static Profiler>,
-    stage: Stage,
-) -> Option<StageTimer<'static>> {
-    prof.map(|p| p.timer(stage))
 }
 
 #[cfg(test)]
@@ -212,18 +139,5 @@ mod tests {
         assert_eq!(dedup.len(), metrics.len(), "no duplicate instrument names");
         assert!(metrics.iter().all(|m| m.starts_with("deepn_codec_")));
         assert!(metrics.iter().all(|m| m.ends_with("_seconds")));
-    }
-
-    #[test]
-    fn timers_record_into_the_stage_histogram() {
-        enable();
-        let p = current().expect("profiler active after enable");
-        drop(p.timer(Stage::EncodeDct));
-        disable();
-        assert!(current().is_none());
-        match deepn_trace::global().reading("deepn_codec_encode_dct_seconds") {
-            Some(deepn_trace::Reading::Histogram(snap)) => assert!(snap.count >= 1),
-            other => panic!("expected a histogram reading, got {other:?}"),
-        }
     }
 }

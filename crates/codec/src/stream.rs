@@ -68,7 +68,7 @@ use crate::dct::{forward_dct_8x8, inverse_dct_8x8};
 use crate::decoder::ScanSetup;
 use crate::encoder::write_headers;
 use crate::marker::{write_marker, EOI};
-use crate::profile::{self, maybe_timer, Profiler, Stage};
+use crate::profile::{timer, Stage};
 use crate::zigzag::{scan, unscan};
 use crate::{CodecError, Encoder, QuantTablePair, RgbImage};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,10 +181,6 @@ pub struct EncodeWorkspace {
     planes: [Vec<f32>; 3],
     blocks: Vec<Block>,
     coeffs: Vec<[i32; 64]>,
-    /// DCT-output staging used only by profiled sessions, which split the
-    /// fused Dct+Quantize loop into two loops to time each stage; sized
-    /// lazily so unprofiled sessions never pay for it.
-    dct: Vec<Block>,
     /// Entropy tokens of the latest analysis pass, in scan order.
     tokens: Vec<u32>,
     /// End offset in `tokens` of each analyzed strip.
@@ -239,10 +235,6 @@ pub struct DecodeWorkspace {
     coeffs: Vec<[i32; 64]>,
     blocks: Vec<Block>,
     planes: [Vec<f32>; 3],
-    /// Dequantize-output staging used only by profiled sessions, which
-    /// split the fused Dequantize+Idct loop into two loops (the mirror of
-    /// [`EncodeWorkspace::dct`]); sized lazily.
-    dequant: Vec<Block>,
 }
 
 impl DecodeWorkspace {
@@ -309,35 +301,8 @@ pub fn blockize_strip(strip: &PixelStrip, ws: &mut EncodeWorkspace) {
 /// holds, in block order on the calling thread. Results are written by
 /// index into the workspace's coefficient buffer, so nothing is
 /// allocated.
-///
-/// A profiled session runs the same math as two loops staged through
-/// `ws.dct` so Dct and Quantize time separately — per value the identical
-/// IEEE operations in the identical order, so the coefficients (and
-/// therefore the output bytes) match the fused loop exactly.
-fn transform_strip(
-    ws: &mut EncodeWorkspace,
-    tables: &QuantTablePair,
-    prof: Option<&'static Profiler>,
-) {
+fn transform_strip(ws: &mut EncodeWorkspace, tables: &QuantTablePair) {
     let bw = ws.bw;
-    if let Some(p) = prof {
-        if ws.dct.len() != ws.blocks.len() {
-            ws.dct.clear();
-            ws.dct.resize(ws.blocks.len(), [0.0; 64]);
-        }
-        {
-            let _t = p.timer(Stage::EncodeDct);
-            for (blk, out) in ws.blocks.iter().zip(&mut ws.dct) {
-                *out = forward_dct_8x8(blk);
-            }
-        }
-        let _t = p.timer(Stage::EncodeQuant);
-        for (i, (blk, out)) in ws.dct.iter().zip(&mut ws.coeffs).enumerate() {
-            let table = if i < bw { &tables.luma } else { &tables.chroma };
-            *out = scan(&table.quantize(blk));
-        }
-        return;
-    }
     for (i, (blk, out)) in ws.blocks.iter().zip(&mut ws.coeffs).enumerate() {
         let table = if i < bw { &tables.luma } else { &tables.chroma };
         *out = scan(&table.quantize(&forward_dct_8x8(blk)));
@@ -368,7 +333,6 @@ pub struct StreamEncoder<'e> {
     prev_dc: [i32; 3],
     writer: BitWriter,
     out: Vec<u8>,
-    prof: Option<&'static Profiler>,
 }
 
 impl<'e> StreamEncoder<'e> {
@@ -395,7 +359,6 @@ impl<'e> StreamEncoder<'e> {
             prev_dc: [0; 3],
             writer: BitWriter::new(),
             out: Vec::new(),
-            prof: profile::current(),
         })
     }
 
@@ -487,12 +450,8 @@ impl<'e> StreamEncoder<'e> {
                 "another session analyzed into this workspace mid-pass".into(),
             ));
         }
-        {
-            let _t = maybe_timer(self.prof, Stage::EncodeColor);
-            blockize_strip(strip, ws);
-        }
-        transform_strip(ws, self.encoder.tables(), self.prof);
-        let _t = maybe_timer(self.prof, Stage::EncodeEntropy);
+        self.blockize_and_transform(strip, ws);
+        let _t = timer(Stage::EncodeEntropy);
         let bw = ws.bw;
         for b in 0..bw {
             for ci in 0..3 {
@@ -505,6 +464,16 @@ impl<'e> StreamEncoder<'e> {
         ws.strip_ends.push(ws.tokens.len());
         self.analyzed += 1;
         Ok(())
+    }
+
+    /// Stages 1–5 on one strip, each of its two loops timed as a stage.
+    fn blockize_and_transform(&self, strip: &PixelStrip, ws: &mut EncodeWorkspace) {
+        {
+            let _t = timer(Stage::EncodeColor);
+            blockize_strip(strip, ws);
+        }
+        let _t = timer(Stage::EncodeTransform);
+        transform_strip(ws, self.encoder.tables());
     }
 
     /// Builds the Huffman tables — optimized ones from the counts of the
@@ -567,13 +536,9 @@ impl<'e> StreamEncoder<'e> {
             self.begin(ws)?;
         }
         if !optimized {
-            {
-                let _t = maybe_timer(self.prof, Stage::EncodeColor);
-                blockize_strip(strip, ws);
-            }
-            transform_strip(ws, self.encoder.tables(), self.prof);
+            self.blockize_and_transform(strip, ws);
         }
-        let _t = maybe_timer(self.prof, Stage::EncodeEntropy);
+        let _t = timer(Stage::EncodeEntropy);
         let tables = self
             .entropy
             .as_ref()
@@ -641,7 +606,6 @@ pub struct StreamDecoder<'b> {
     strip_count: usize,
     emitted: usize,
     prev_dc: [i32; 3],
-    prof: Option<&'static Profiler>,
 }
 
 impl<'b> StreamDecoder<'b> {
@@ -655,7 +619,6 @@ impl<'b> StreamDecoder<'b> {
             strip_count,
             emitted: 0,
             prev_dc: [0; 3],
-            prof: profile::current(),
         })
     }
 
@@ -708,7 +671,7 @@ impl<'b> StreamDecoder<'b> {
         let bw = ws.bw;
         // Inverse stage 1 — Entropy (sequential).
         {
-            let _t = maybe_timer(self.prof, Stage::DecodeEntropy);
+            let _t = timer(Stage::DecodeEntropy);
             for b in 0..bw {
                 for (ci, comp) in self.setup.components.iter().enumerate() {
                     let zz = decode_block(&mut self.bits, &comp.dc, &comp.ac, self.prev_dc[ci])?;
@@ -717,33 +680,16 @@ impl<'b> StreamDecoder<'b> {
                 }
             }
         }
-        // Inverse stages 2–4 — Unzigzag → Dequantize → Idct, written by
-        // index. A profiled session stages through `ws.dequant` to time
-        // Dequantize and Idct separately — identical math, same bytes (see
-        // `transform_strip`).
-        let comps = &self.setup.components;
-        if let Some(p) = self.prof {
-            if ws.dequant.len() != ws.coeffs.len() {
-                ws.dequant.clear();
-                ws.dequant.resize(ws.coeffs.len(), [0.0; 64]);
-            }
-            {
-                let _t = p.timer(Stage::DecodeDequant);
-                for (i, (zz, out)) in ws.coeffs.iter().zip(&mut ws.dequant).enumerate() {
-                    *out = comps[i / bw].quant.dequantize(&unscan(zz));
-                }
-            }
-            let _t = p.timer(Stage::DecodeIdct);
-            for (blk, out) in ws.dequant.iter().zip(&mut ws.blocks) {
-                *out = inverse_dct_8x8(blk);
-            }
-        } else {
+        // Inverse stages 2–4 — Unzigzag → Dequantize → Idct, written by index.
+        {
+            let _t = timer(Stage::DecodeTransform);
+            let comps = &self.setup.components;
             for (i, (zz, out)) in ws.coeffs.iter().zip(&mut ws.blocks).enumerate() {
                 let q = &comps[i / bw].quant;
                 *out = inverse_dct_8x8(&q.dequantize(&unscan(zz)));
             }
         }
-        let _t = maybe_timer(self.prof, Stage::DecodeColor);
+        let _t = timer(Stage::DecodeColor);
         // Inverse stage 5 — BlockMerge: reassemble the valid rows, undo
         // the level shift, discard edge padding.
         let rows = self.strip_rows(self.emitted);
@@ -864,11 +810,11 @@ mod tests {
         let enc = Encoder::with_quality(70);
         let mut ws = EncodeWorkspace::new();
         let plain = stream_encode(&enc, &img, &mut ws);
-        crate::profile::enable();
+        deepn_trace::set_enabled(true);
         let profiled = stream_encode(&enc, &img, &mut ws);
         let dec = Decoder::new();
         let pixels_profiled = dec.decode(&plain).expect("decode profiled");
-        crate::profile::disable();
+        deepn_trace::set_enabled(false);
         let pixels_plain = dec.decode(&plain).expect("decode plain");
         assert_eq!(plain, profiled, "profiling must not change encoded bytes");
         assert_eq!(

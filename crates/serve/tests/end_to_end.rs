@@ -189,6 +189,23 @@ fn v1_replies_keep_arrival_order_across_pooled_rejected_and_streamed_requests() 
     handle.join();
 }
 
+/// A 7×9 stream whose SOF0 points the Cb component at quantization table
+/// 2, which a baseline stream cannot define.
+fn forged_quant_selector() -> Vec<u8> {
+    let mut jfif = Encoder::with_tables(QuantTablePair::standard(70))
+        .encode(&deepn_codec::RgbImage::gradient(7, 9))
+        .expect("encode");
+    // SOF0: marker, length, precision, height, width and component count
+    // take 10 bytes, then (id, sampling, Tq) per component.
+    let sof0 = jfif
+        .windows(2)
+        .position(|m| m == [0xFF, 0xC0])
+        .expect("SOF0 marker");
+    assert_eq!(jfif[sof0 + 15], 1, "Cb selects the chroma table");
+    jfif[sof0 + 15] = 2;
+    jfif
+}
+
 #[test]
 fn errors_are_remote_not_fatal() {
     let (handle, mut client) = start(QuantTablePair::standard(50));
@@ -197,6 +214,14 @@ fn errors_are_remote_not_fatal() {
         .decode_batch(&[vec![0xDE, 0xAD, 0xBE, 0xEF]])
         .expect_err("garbage cannot decode");
     assert!(matches!(err, ServeError::Remote(_)), "{err}");
+    // ...as must headers the decoder rejects...
+    let err = client
+        .decode_batch(&[forged_quant_selector()])
+        .expect_err("forged header cannot decode");
+    assert!(
+        matches!(&err, ServeError::Remote(m) if m.contains("decode failed")),
+        "{err}"
+    );
     // ...and classify without a model likewise...
     let set = ImageSet::generate(&DatasetSpec::tiny(), 2);
     let err = client
@@ -401,6 +426,11 @@ fn decompress_stream_failures_are_typed_and_keep_the_connection() {
     let err = client
         .begin_decompress_stream(&[0xDE, 0xAD, 0xBE, 0xEF])
         .expect_err("garbage cannot decode");
+    assert!(matches!(err, ServeError::Remote(_)), "{err}");
+    // So do headers the decoder rejects.
+    let err = client
+        .begin_decompress_stream(&forged_quant_selector())
+        .expect_err("forged header cannot decode");
     assert!(matches!(err, ServeError::Remote(_)), "{err}");
     // Unlike a failed CompressStream, every failure here lands on a frame
     // boundary, so the same connection keeps serving.

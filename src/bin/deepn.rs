@@ -93,11 +93,12 @@ COMMANDS:
                   malformed scrape
                   --addr HOST:PORT [--pretty] [--check]
     pipeline      Rerun the figure experiment through the decoded-set cache.
-                  --profile times each codec stage (output bytes are
-                  identical either way) and prints the stage table
+                  --profile turns tracing on, times each codec stage
+                  (output bytes are identical either way) and prints the
+                  stage table and the pool's counters
                   --cache-dir DIR [--scale fast|full] [--profile]
     trace-export  Run a pipelined mixed workload against an in-process
-                  service with tracing and stage profiling on, and write
+                  service with tracing (and so stage timing) on, and write
                   the recorded spans as Chrome trace-event JSON
                   (Perfetto-loadable)
                   --out PATH [--requests N] [--window W]
@@ -884,13 +885,10 @@ fn cmd_pipeline(mut args: Args) -> Result<(), Box<dyn Error>> {
     let seed = args.parsed("--seed", 0xDEE9u64)?;
     let profile = args.flag("--profile");
     args.finish()?;
-    // Honor DEEPN_TRACE=1 as `Server::bind` does: the pool's busy time
-    // in the `--profile` report advances only while tracing is on.
-    deepn::trace::enable_from_env();
     if profile {
-        // Must be on before the first codec session is created: sessions
-        // capture the profiling decision at creation.
-        deepn::codec::profile::enable();
+        // The codec's stage timers and the pool's busy time record only
+        // while tracing is on.
+        deepn::trace::set_enabled(true);
     }
 
     let t0 = Instant::now();
@@ -994,15 +992,11 @@ fn print_profile_report() {
         Some(Reading::Counter(v)) | Some(Reading::Gauge(v)) => v,
         _ => 0,
     };
-    let busy = if deepn::trace::enabled() {
-        human_seconds(counter("deepn_parallel_worker_busy_ns_total") as f64 / 1e9)
-    } else {
-        "not measured (set DEEPN_TRACE=1)".to_string()
-    };
     println!(
-        "pool: {} steals, queue high-water {}, workers busy {busy}",
+        "pool: {} steals, queue high-water {}, workers busy {}",
         counter("deepn_parallel_steals_total"),
         counter("deepn_parallel_queue_high_water"),
+        human_seconds(counter("deepn_parallel_worker_busy_ns_total") as f64 / 1e9),
     );
 }
 
@@ -1027,7 +1021,6 @@ fn cmd_trace_export(mut args: Args) -> Result<(), Box<dyn Error>> {
     args.finish()?;
 
     deepn::trace::set_enabled(true);
-    deepn::codec::profile::enable();
 
     // An in-process service on standard tables: the workload needs spans,
     // not designed quantization.

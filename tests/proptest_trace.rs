@@ -1,15 +1,16 @@
 //! Tracing-parity property tests: instrumentation must never change a
 //! byte of output. Encode, decode, and the serve wire protocol are run
-//! with spans + codec profiling fully enabled and fully disabled and
-//! compared byte-for-byte (CI runs this suite at `DEEPN_THREADS=1` and
-//! `4`; `run_sequential` compares the inline executor in-process too).
+//! with tracing (spans and codec stage timers) fully enabled and fully
+//! disabled and compared byte-for-byte (CI runs this suite at
+//! `DEEPN_THREADS=1` and `4`; `run_sequential` compares the inline
+//! executor in-process too).
 //! The histogram bucket ladder and the Prometheus renderer get their own
 //! property checks at the bottom.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use deepn::codec::{profile, Decoder, Encoder, QuantTablePair, RgbImage};
+use deepn::codec::{Decoder, Encoder, QuantTablePair, RgbImage};
 use deepn::parallel::run_sequential;
 use deepn::serve::{Client, Server, ServerConfig};
 use deepn::trace::{
@@ -17,25 +18,22 @@ use deepn::trace::{
 };
 use proptest::prelude::*;
 
-/// Span recording and codec profiling are process-global switches, so
-/// every test that toggles them holds this lock for its whole body.
+/// Tracing is a process-global switch, so every test that toggles it
+/// holds this lock for its whole body.
 fn trace_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     let lock = LOCK.get_or_init(|| Mutex::new(()));
     lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Runs `f` twice — instrumentation off, then spans + profiling on — and
-/// returns both results. Always leaves tracing disabled afterwards.
+/// Runs `f` twice — tracing off, then on — and returns both results.
+/// Always leaves tracing disabled afterwards.
 fn with_tracing_off_then_on<T>(mut f: impl FnMut() -> T) -> (T, T) {
     set_enabled(false);
-    profile::disable();
     let plain = f();
     set_enabled(true);
-    profile::enable();
     let traced = f();
     set_enabled(false);
-    profile::disable();
     (plain, traced)
 }
 
@@ -67,10 +65,8 @@ proptest! {
         prop_assert_eq!(&plain, &traced);
         // The inline executor down the same instrumented path agrees too.
         set_enabled(true);
-        profile::enable();
         let scalar = run_sequential(|| enc.encode(&img).expect("encode"));
         set_enabled(false);
-        profile::disable();
         prop_assert_eq!(plain, scalar);
     }
 
