@@ -220,7 +220,9 @@ pub fn tally_block(
 /// # Errors
 ///
 /// Propagates bit-stream and Huffman errors; rejects coefficient indices
-/// past 63 (corrupt run lengths).
+/// past 63 (corrupt run lengths) and a DC level outside the `i32` range
+/// (DC differences that accumulate past it), both as
+/// [`CodecError::BadHuffmanCode`].
 pub fn decode_block(
     reader: &mut BitReader<'_>,
     dc_table: &HuffmanDecoder,
@@ -237,7 +239,10 @@ pub fn decode_block(
     } else {
         0
     };
-    zz[0] = prev_dc + diff;
+    // A forged scan can push the DC prediction past the `i32` range.
+    zz[0] = prev_dc
+        .checked_add(diff)
+        .ok_or(CodecError::BadHuffmanCode)?;
     let mut k = 1usize;
     while k < 64 {
         let sym = ac_table.decode(reader)?;
@@ -357,6 +362,27 @@ mod tests {
         let mut b = [0i32; 64];
         b[63] = 1;
         round_trip_blocks(&[b]);
+    }
+
+    #[test]
+    fn dc_prediction_overflow_is_a_typed_error() {
+        let (dce, ace, dcd, acd) = tables();
+        for (diff, prev_dc) in [(2047, i32::MAX - 100), (-2047, i32::MIN + 100)] {
+            let mut b = [0i32; 64];
+            b[0] = diff;
+            let mut w = BitWriter::new();
+            encode_block(&mut w, &dce, &ace, &b, 0);
+            let bytes = w.finish();
+            let decoded = decode_block(&mut BitReader::new(&bytes), &dcd, &acd, 0);
+            assert_eq!(decoded.expect("in range")[0], diff);
+            assert!(
+                matches!(
+                    decode_block(&mut BitReader::new(&bytes), &dcd, &acd, prev_dc),
+                    Err(CodecError::BadHuffmanCode)
+                ),
+                "difference {diff} from {prev_dc}"
+            );
+        }
     }
 
     #[test]

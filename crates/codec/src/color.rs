@@ -1,5 +1,6 @@
 //! JFIF RGB ↔ YCbCr color transforms (ITU-R BT.601 full range).
 
+use crate::quant::round_to_i32;
 use crate::RgbImage;
 
 /// One luma/chroma plane of `f32` samples in display order.
@@ -53,8 +54,12 @@ pub fn ycbcr_to_rgb(ycc: [f32; 3]) -> [u8; 3] {
     [clamp_u8(r), clamp_u8(g), clamp_u8(b)]
 }
 
+/// `v.round().clamp(0.0, 255.0) as u8` for every `f32`, NaN and ±∞
+/// included, without libm's `roundf`: [`round_to_i32`] equals
+/// `v.round() as i32` on every input, saturating, so clamping its result
+/// as an integer lands where the float clamp does.
 fn clamp_u8(v: f32) -> u8 {
-    v.round().clamp(0.0, 255.0) as u8
+    round_to_i32(v).clamp(0, 255) as u8
 }
 
 /// Splits an RGB image into full-resolution Y, Cb, Cr planes (4:4:4).
@@ -130,6 +135,38 @@ mod tests {
                     "{rgb:?} -> {back:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn clamp_matches_std_round_and_clamp() {
+        let half = 0.5f32;
+        let mut inputs = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            254.5,
+            255.5,
+            1e9,
+            -1e9,
+        ];
+        for v in [half, -half] {
+            inputs.extend([
+                v,
+                f32::from_bits(v.to_bits() - 1),
+                f32::from_bits(v.to_bits() + 1),
+            ]);
+        }
+        // Every multiple of 1/64 in [-512, 768].
+        inputs.extend((-512 * 64..=768 * 64).map(|k| k as f32 / 64.0));
+        for v in inputs {
+            assert_eq!(
+                clamp_u8(v),
+                v.round().clamp(0.0, 255.0) as u8,
+                "v = {v:e} ({:#010x})",
+                v.to_bits()
+            );
         }
     }
 

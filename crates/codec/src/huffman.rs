@@ -120,56 +120,13 @@ impl HuffmanSpec {
         if freqs.iter().all(|&f| f == 0) {
             return Err(CodecError::BadHuffmanTable("no symbols observed".into()));
         }
-        // Working arrays per Annex K.2, with index 256 reserved so no real
-        // symbol gets the all-ones code.
-        let mut freq = [0i64; 257];
-        for (f, &src) in freq.iter_mut().zip(freqs.iter()) {
-            *f = src as i64;
-        }
-        freq[256] = 1;
-        let mut codesize = [0u32; 257];
-        let mut others = [-1i32; 257];
+        HuffmanSpec::from_code_sizes(&code_sizes(&working_frequencies(freqs)))
+    }
 
-        loop {
-            // v1: least nonzero frequency, ties -> larger index.
-            let mut v1: i32 = -1;
-            let mut min1 = i64::MAX;
-            for (i, &f) in freq.iter().enumerate() {
-                if f > 0 && f <= min1 {
-                    min1 = f;
-                    v1 = i as i32;
-                }
-            }
-            // v2: next least, excluding v1.
-            let mut v2: i32 = -1;
-            let mut min2 = i64::MAX;
-            for (i, &f) in freq.iter().enumerate() {
-                if f > 0 && f <= min2 && i as i32 != v1 {
-                    min2 = f;
-                    v2 = i as i32;
-                }
-            }
-            if v2 < 0 {
-                break; // single tree remains
-            }
-            let (v1u, v2u) = (v1 as usize, v2 as usize);
-            freq[v1u] += freq[v2u];
-            freq[v2u] = 0;
-            codesize[v1u] += 1;
-            let mut i = v1u;
-            while others[i] >= 0 {
-                i = others[i] as usize;
-                codesize[i] += 1;
-            }
-            others[i] = v2;
-            codesize[v2u] += 1;
-            let mut i = v2u;
-            while others[i] >= 0 {
-                i = others[i] as usize;
-                codesize[i] += 1;
-            }
-        }
-
+    /// The Annex K.2 steps after the code-size tree: count codes per
+    /// length, fold lengths above 16 down (Adjust_BITS), drop the reserved
+    /// codepoint, and list the symbols canonically (Sort_input).
+    fn from_code_sizes(codesize: &[u32; 257]) -> Result<Self, CodecError> {
         // Count codes per size (sizes can exceed 16 before adjustment).
         let mut bits_long = [0u32; 64];
         for &cs in codesize.iter() {
@@ -224,6 +181,75 @@ impl HuffmanSpec {
     pub fn symbol_count(&self) -> usize {
         self.values.len()
     }
+}
+
+/// The Annex K.2 working frequencies: `freqs` with slot 256 reserved at
+/// frequency 1, so no real symbol gets the all-ones code.
+fn working_frequencies(freqs: &[u64; 256]) -> [i64; 257] {
+    let mut freq = [0i64; 257];
+    for (f, &src) in freq.iter_mut().zip(freqs.iter()) {
+        *f = src as i64;
+    }
+    freq[256] = 1;
+    freq
+}
+
+/// Annex K.2 Code_size: repeatedly merges the two least frequent trees,
+/// lengthening the codes of every symbol in both by one.
+///
+/// Both searches walk only the live slots (nonzero frequency), kept in
+/// ascending index order so that `<=` hands ties to the larger index, as
+/// a scan of all 257 slots does. A merged-away slot leaves the list. An
+/// image uses a few dozen symbols per table, so this costs a few dozen
+/// steps per merge instead of 257.
+fn code_sizes(freq: &[i64; 257]) -> [u32; 257] {
+    let mut freq = *freq;
+    let mut live = [0u16; 257];
+    let mut n = 0;
+    for (i, &f) in freq.iter().enumerate() {
+        if f > 0 {
+            live[n] = i as u16;
+            n += 1;
+        }
+    }
+    let mut codesize = [0u32; 257];
+    let mut others = [-1i32; 257];
+    // Until a single tree remains.
+    while n > 1 {
+        // v1: least frequency, ties -> larger index.
+        let (mut p1, mut min1) = (0, i64::MAX);
+        for (p, f) in live[..n].iter().map(|&i| freq[usize::from(i)]).enumerate() {
+            if f <= min1 {
+                (p1, min1) = (p, f);
+            }
+        }
+        // v2: next least, excluding v1.
+        let (mut p2, mut min2) = (0, i64::MAX);
+        for (p, f) in live[..n].iter().map(|&i| freq[usize::from(i)]).enumerate() {
+            if f <= min2 && p != p1 {
+                (p2, min2) = (p, f);
+            }
+        }
+        let (v1, v2) = (usize::from(live[p1]), usize::from(live[p2]));
+        live.copy_within(p2 + 1..n, p2);
+        n -= 1;
+        freq[v1] += freq[v2];
+        freq[v2] = 0;
+        codesize[v1] += 1;
+        let mut i = v1;
+        while others[i] >= 0 {
+            i = others[i] as usize;
+            codesize[i] += 1;
+        }
+        others[i] = v2 as i32;
+        codesize[v2] += 1;
+        let mut i = v2;
+        while others[i] >= 0 {
+            i = others[i] as usize;
+            codesize[i] += 1;
+        }
+    }
+    codesize
 }
 
 /// Encoder-side lookup: `(code, length)` per symbol.
@@ -437,6 +463,116 @@ mod tests {
         assert_eq!(spec.symbol_count(), 256);
         let symbols: Vec<u8> = (0..=255).collect();
         round_trip(&spec, &symbols);
+    }
+
+    /// Code_size as first written: both minimum searches scan all 257
+    /// slots for every merge. The reference for [`code_sizes`].
+    fn reference_code_sizes(freq: &[i64; 257]) -> [u32; 257] {
+        let mut freq = *freq;
+        let mut codesize = [0u32; 257];
+        let mut others = [-1i32; 257];
+        loop {
+            let mut v1: i32 = -1;
+            let mut min1 = i64::MAX;
+            for (i, &f) in freq.iter().enumerate() {
+                if f > 0 && f <= min1 {
+                    min1 = f;
+                    v1 = i as i32;
+                }
+            }
+            let mut v2: i32 = -1;
+            let mut min2 = i64::MAX;
+            for (i, &f) in freq.iter().enumerate() {
+                if f > 0 && f <= min2 && i as i32 != v1 {
+                    min2 = f;
+                    v2 = i as i32;
+                }
+            }
+            if v2 < 0 {
+                break;
+            }
+            let (v1u, v2u) = (v1 as usize, v2 as usize);
+            freq[v1u] += freq[v2u];
+            freq[v2u] = 0;
+            codesize[v1u] += 1;
+            let mut i = v1u;
+            while others[i] >= 0 {
+                i = others[i] as usize;
+                codesize[i] += 1;
+            }
+            others[i] = v2;
+            codesize[v2u] += 1;
+            let mut i = v2u;
+            while others[i] >= 0 {
+                i = others[i] as usize;
+                codesize[i] += 1;
+            }
+        }
+        codesize
+    }
+
+    /// SplitMix64: a seeded generator for the frequency sets below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Frequency set `case` of the reference comparison: 2–40 live
+    /// symbols in most cases, exactly 1 or 1–256 in one case of eight
+    /// each, at random slots, in one of four shapes — counts of 1–8 (many
+    /// ties), all-equal counts, random counts up to 2^40, and Fibonacci
+    /// counts (codes longer than 16 bits, so Adjust_BITS folds them).
+    fn frequency_set(case: u64, rng: &mut u64) -> [u64; 256] {
+        let live = match (case / 4) % 8 {
+            6 => 1,
+            7 => 1 + splitmix(rng) % 256,
+            _ => 2 + splitmix(rng) % 39,
+        } as usize;
+        let mut slots: Vec<usize> = (0..256).collect();
+        for i in 0..live {
+            let j = i + (splitmix(rng) % (256 - i as u64)) as usize;
+            slots.swap(i, j);
+        }
+        let mut freqs = [0u64; 256];
+        let equal = 1 + splitmix(rng) % 1000;
+        let (mut fib_a, mut fib_b) = (1u64, 1u64);
+        for (k, &s) in slots[..live].iter().enumerate() {
+            freqs[s] = match case % 4 {
+                1 => equal,
+                2 => 1 + splitmix(rng) % (1 << 40),
+                3 if k < 50 => {
+                    (fib_a, fib_b) = (fib_b, fib_a + fib_b);
+                    fib_a
+                }
+                _ => 1 + splitmix(rng) % 8,
+            };
+        }
+        freqs
+    }
+
+    #[test]
+    fn live_symbol_build_matches_the_full_scan() {
+        let mut rng = 0x5EED_u64;
+        let mut long_codes = 0;
+        for case in 0..20_000 {
+            let freqs = frequency_set(case, &mut rng);
+            let freq = working_frequencies(&freqs);
+            let (got, want) = (code_sizes(&freq), reference_code_sizes(&freq));
+            assert_eq!(got, want, "case {case}: code sizes differ for {freqs:?}");
+            assert_eq!(
+                HuffmanSpec::from_frequencies(&freqs).expect("buildable"),
+                HuffmanSpec::from_code_sizes(&want).expect("buildable"),
+                "case {case}"
+            );
+            long_codes += usize::from(want.iter().any(|&cs| cs > 16));
+        }
+        assert!(
+            long_codes > 1000,
+            "only {long_codes} cases needed Adjust_BITS"
+        );
     }
 
     #[test]

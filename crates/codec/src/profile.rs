@@ -22,7 +22,9 @@ pub enum Stage {
     /// Encode: Dct + Quantize + Zigzag.
     EncodeTransform,
     /// Encode: Tokenize in the analysis pass, Huffman emit in the encode
-    /// pass, both in a standard-Huffman session's single pass.
+    /// pass, both in a standard-Huffman session's single pass. The first
+    /// strip of the pass that emits also builds the Huffman tables and
+    /// writes the headers.
     EncodeEntropy,
     /// Decode: Huffman entropy decoding.
     DecodeEntropy,

@@ -154,7 +154,8 @@ impl QuantTable {
 
 /// `x.round() as i32` for every `f32` (ties away from zero, saturating,
 /// NaN to 0) without calling libm's `roundf`, which the baseline x86-64
-/// target compiles `f32::round` to — once per coefficient.
+/// target compiles `f32::round` to — once per coefficient here, and once
+/// per decoded sample in the color stage's `clamp_u8`.
 ///
 /// `t` truncates toward zero and `f = x - t` is the exact fractional part
 /// (for |x| < 2²³ both are exact; from there to the `i32` limits `x` is a
@@ -164,7 +165,7 @@ impl QuantTable {
 /// outside the `i32` range, `f` is infinite or a whole number. Branch-free
 /// on purpose — the fractions are random, so a branch would mispredict.
 #[inline]
-fn round_to_i32(x: f32) -> i32 {
+pub(crate) fn round_to_i32(x: f32) -> i32 {
     let t = x as i32;
     let f = x - t as f32;
     let up = i32::from((0.5..1.0).contains(&f));

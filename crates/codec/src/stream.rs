@@ -532,13 +532,15 @@ impl<'e> StreamEncoder<'e> {
             ));
         }
         self.check_strip(strip, self.encoded)?;
-        if self.encoded == 0 {
-            self.begin(ws)?;
-        }
         if !optimized {
             self.blockize_and_transform(strip, ws);
         }
+        // The entropy stage includes building the tables and writing the
+        // headers on the first strip; `begin` reads only the tokens.
         let _t = timer(Stage::EncodeEntropy);
+        if self.encoded == 0 {
+            self.begin(ws)?;
+        }
         let tables = self
             .entropy
             .as_ref()
@@ -693,17 +695,14 @@ impl<'b> StreamDecoder<'b> {
         // Inverse stage 5 — BlockMerge: reassemble the valid rows, undo
         // the level shift, discard edge padding.
         let rows = self.strip_rows(self.emitted);
-        for ci in 0..3 {
-            let plane = &mut ws.planes[ci];
-            for bx in 0..bw {
-                let blk = &ws.blocks[ci * bw + bx];
+        for (plane, blocks) in ws.planes.iter_mut().zip(ws.blocks.chunks_exact(bw)) {
+            for (bx, blk) in blocks.iter().enumerate() {
+                let x0 = bx * BLOCK_SIZE;
+                let n = BLOCK_SIZE.min(w - x0);
                 for iy in 0..rows {
-                    for ix in 0..BLOCK_SIZE {
-                        let sx = bx * BLOCK_SIZE + ix;
-                        if sx >= w {
-                            break;
-                        }
-                        plane[iy * w + sx] = blk[iy * BLOCK_SIZE + ix] + 128.0;
+                    let src = &blk[iy * BLOCK_SIZE..][..n];
+                    for (dst, &s) in plane[iy * w + x0..][..n].iter_mut().zip(src) {
+                        *dst = s + 128.0;
                     }
                 }
             }
@@ -711,16 +710,11 @@ impl<'b> StreamDecoder<'b> {
         // Inverse stage 6 — ColorConvert⁻¹ into the pixel strip.
         strip.width = w;
         strip.rows = rows;
-        strip.data.clear();
-        for y in 0..rows {
-            for x in 0..w {
-                let ycc = [
-                    ws.planes[0][y * w + x],
-                    ws.planes[1][y * w + x],
-                    ws.planes[2][y * w + x],
-                ];
-                strip.data.extend_from_slice(&ycbcr_to_rgb(ycc));
-            }
+        strip.data.resize(rows * w * 3, 0);
+        let [y_plane, cb_plane, cr_plane] = &ws.planes;
+        let samples = y_plane.iter().zip(cb_plane).zip(cr_plane);
+        for (px, ((&y, &cb), &cr)) in strip.data.chunks_exact_mut(3).zip(samples) {
+            px.copy_from_slice(&ycbcr_to_rgb([y, cb, cr]));
         }
         self.emitted += 1;
         Ok(true)

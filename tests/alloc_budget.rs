@@ -2,11 +2,12 @@
 //! through a reused workspace allocates nothing per block or per strip.
 //! A 256×256 image has 64× the blocks and 8× the strips of a 32×32 one; its
 //! warm call may allocate more only because its output is larger and the
-//! output buffers double a few more times (the encoder's scan buffer grows
-//! from 256 B to 8 KiB, the decoder's pixel-row buffer from 1 KiB to
-//! 8 KiB). Allocating per strip would add at least 28, and a buffer that
-//! regrows for every image — such as the entropy-token buffer of an
-//! optimized encode — about as many as its own doublings.
+//! encoder's output buffers double a few more times (its scan buffer grows
+//! from 256 B to 8 KiB). The decoder sizes its pixel strip once per image,
+//! so its count does not grow at all. Allocating per strip would add at
+//! least 28, and a buffer that regrows for every image — such as the
+//! entropy-token buffer of an optimized encode — about as many as its own
+//! doublings.
 //!
 //! The counting allocator is this binary's own, and counts per thread, so
 //! tests running in parallel do not see each other's allocations.
@@ -51,9 +52,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Warm allocations at 256×256 beyond those at 32×32: the output buffers'
-/// extra doublings (5 for the encoder's scan buffer plus one for the
-/// finished stream, 3 for the decoder) and a little slack.
+/// Warm allocations at 256×256 beyond those at 32×32: the encoder's output
+/// buffers' extra doublings (5 for the scan buffer plus one for the
+/// finished stream) and a little slack.
 const GROWTH_BUDGET: u64 = 8;
 
 /// Allocations `f` makes on this thread.

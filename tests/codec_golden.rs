@@ -92,6 +92,40 @@ fn digests(img: &RgbImage) -> [u64; 3] {
     [enc.0, quant.0, dec.0]
 }
 
+/// Every image size the golden tests pin.
+const SIZES: [(usize, usize); 6] = [(1, 1), (7, 9), (8, 8), (33, 17), (255, 13), (256, 256)];
+
+/// The digests decode only the optimized stream. Entropy coding is
+/// lossless, so the standard-Huffman stream of the same image and tables
+/// carries the same levels and must decode to the same, golden-pinned,
+/// pixels — which pins the decoder's standard AC codes too.
+#[test]
+fn standard_huffman_decodes_like_optimized() {
+    let decoder = Decoder::new();
+    for (width, height) in SIZES {
+        let sources = [
+            ("gradient", RgbImage::gradient(width, height)),
+            ("textured", textured(width, height)),
+        ];
+        for (source, img) in &sources {
+            for (t, pair) in tables().into_iter().enumerate() {
+                let [optimized, standard] = [true, false].map(|optimize| {
+                    let bytes = Encoder::with_tables(pair.clone())
+                        .optimize_huffman(optimize)
+                        .encode(img)
+                        .expect("encodes");
+                    decoder.decode(&bytes).expect("decodes")
+                });
+                assert!(
+                    standard.as_bytes() == optimized.as_bytes(),
+                    "{width}x{height} {source}, table pair {t}: \
+                     the standard-Huffman stream decodes to other pixels"
+                );
+            }
+        }
+    }
+}
+
 /// Checks one size against its `[gradient, textured]` golden digests; a
 /// mismatch names every differing output.
 fn check(width: usize, height: usize, golden: [[u64; 3]; 2]) {

@@ -6,9 +6,11 @@
 //! set to 0x00, 0xFF, `b ^ 0x01` and `b ^ 0x80` in turn, and every
 //! proper prefix is decoded. The inputs are a textured 7×9 image in both
 //! Huffman modes and a textured 33×17 one (three strips, the last one
-//! ragged) in the default optimized mode; its standard-Huffman stream
-//! would double the sweep's time in a debug build. A failure names the
-//! first offending image, mode, offset and value.
+//! ragged) in the default optimized mode. Its standard-Huffman stream
+//! would double the sweep's time in a debug build, so that sweep is
+//! `#[ignore]`d and runs in release:
+//! `cargo test --release --test jfif_corruption -- --ignored`. A failure
+//! names the first offending image, mode, offset and value.
 
 use deepn::codec::{DecodeWorkspace, Decoder, Encoder, PixelStrip, RgbImage};
 use std::any::Any;
@@ -85,4 +87,10 @@ fn corrupted_7x9_standard_huffman_never_panics() {
 #[test]
 fn corrupted_33x17_optimized_huffman_never_panics() {
     sweep(33, 17, true);
+}
+
+#[test]
+#[ignore = "doubles the debug sweep; run in release"]
+fn corrupted_33x17_standard_huffman_never_panics() {
+    sweep(33, 17, false);
 }
