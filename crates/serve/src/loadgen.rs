@@ -11,15 +11,21 @@
 //! soak-specific accounting lands under `loadgen_summary` in the same
 //! document.
 //!
+//! Every reply is checked: before the window opens, one `EncodeBatch`
+//! reply reveals the served tables, and the local codec then predicts
+//! every `EncodeBatch`/`DecodeBatch` reply of the load mix byte for byte.
+//! A reply of the wrong kind or with different bytes is a `mismatch`,
+//! never `ok`, and raises the `reply_mismatch` anomaly.
+//!
 //! Accounting contract (what "reconciles" means): busy rejections happen
 //! at connection admission and increment only
 //! `deepn_serve_connections_rejected_total`; every other client-visible
-//! outcome (ok, timeout, server-side error) corresponds to exactly one
-//! `deepn_serve_requests_total` increment. The scraper's own `Metrics`
-//! requests are counted by the server too, so the window's request delta
-//! must equal `ok + timeout + error + (scrapes − 1)` — the first scrape
-//! predates the window. Tagged (protocol v2) runs add two more
-//! server-counted-but-not-client-tallied categories: one `Hello` per
+//! outcome (ok, mismatch, timeout, server-side error) corresponds to
+//! exactly one `deepn_serve_requests_total` increment. The scraper's own
+//! `Metrics` requests are counted by the server too, so the window's
+//! request delta must equal `ok + mismatch + timeout + error + (scrapes
+//! − 1)` — the first scrape predates the window. Tagged (protocol v2)
+//! runs add two more server-counted-but-not-client-tallied categories: one `Hello` per
 //! (re)connect negotiation, and `parts − 1` per batch a tagged pipeline
 //! splits across tags; both fold into the expected delta. Transport
 //! (`io`) errors make a request's fate unknowable client-side, so the
@@ -27,7 +33,7 @@
 //! anything beyond that is flagged.
 
 use crate::{Client, PipelineReply, ServeError};
-use deepn_codec::{EncodeWorkspace, Encoder, QuantTablePair, RgbImage};
+use deepn_codec::{CodecError, Decoder, Encoder, QuantTablePair, RgbImage};
 use deepn_trace::export::escape_json;
 use deepn_trace::log;
 use deepn_trace::prom::MetricsSeries;
@@ -98,8 +104,12 @@ impl LoadgenConfig {
 /// One client's (or the merged fleet's) outcome tally.
 #[derive(Debug, Default, Clone)]
 pub struct ClientTotals {
-    /// Requests that completed successfully.
+    /// Requests answered with exactly the reply the local codec predicts.
     pub ok: u64,
+    /// Requests answered with a reply of the wrong kind or with bytes
+    /// that differ from the local codec's. The server counted them, so
+    /// reconciliation expects them; they are never `ok`.
+    pub mismatch: u64,
     /// Typed busy rejections (connection admission).
     pub busy: u64,
     /// Typed deadline rejections.
@@ -132,11 +142,12 @@ pub struct ClientTotals {
 impl ClientTotals {
     /// Requests attempted, however they ended.
     pub fn attempts(&self) -> u64 {
-        self.ok + self.busy + self.timeout + self.error + self.io_error
+        self.ok + self.mismatch + self.busy + self.timeout + self.error + self.io_error
     }
 
     fn absorb(&mut self, other: ClientTotals) {
         self.ok += other.ok;
+        self.mismatch += other.mismatch;
         self.busy += other.busy;
         self.timeout += other.timeout;
         self.error += other.error;
@@ -148,12 +159,15 @@ impl ClientTotals {
         self.latency_ns.extend(other.latency_ns);
     }
 
-    fn tally(&mut self, outcome: Result<(), ServeError>, elapsed_ns: u64) {
+    /// Tallies one serial request: `Ok(true)` is a verified reply, whose
+    /// latency is recorded; `Ok(false)` is a mismatch.
+    fn tally(&mut self, outcome: Result<bool, ServeError>, elapsed_ns: u64) {
         match outcome {
-            Ok(()) => {
+            Ok(true) => {
                 self.ok += 1;
                 self.latency_ns.push(elapsed_ns);
             }
+            Ok(false) => self.mismatch += 1,
             Err(e) => self.tally_err(&e),
         }
     }
@@ -256,6 +270,10 @@ impl LoadReport {
             json_f64(self.duration_secs)
         ));
         out.push_str(&format!("    \"requests_ok\": {},\n", self.totals.ok));
+        out.push_str(&format!(
+            "    \"requests_mismatch\": {},\n",
+            self.totals.mismatch
+        ));
         out.push_str(&format!("    \"requests_busy\": {},\n", self.totals.busy));
         out.push_str(&format!(
             "    \"requests_timeout\": {},\n",
@@ -421,38 +439,119 @@ struct ScrapeLog {
     failures: u64,
 }
 
-/// Runs a whole load/soak session against a live server: a fenced first
-/// scrape, `config.clients` concurrent load clients for
-/// `config.duration`, periodic scrapes throughout, a fenced final
-/// scrape, then reconciliation and anomaly analysis.
+/// The load mix — request `i` of every client is op `i % 4` of ping,
+/// `EncodeBatch(images)`, `DecodeBatch(blobs)`, stats — and the replies
+/// the local codec predicts for it.
+#[derive(Debug)]
+struct Workload {
+    /// One distinct image per batch slot, so swapped items cannot match.
+    images: Vec<RgbImage>,
+    /// The images encoded locally at quality 75: the decode payloads.
+    blobs: Vec<Vec<u8>>,
+    /// The expected `EncodeBatch(images)` reply.
+    encoded: Vec<Vec<u8>>,
+    /// The expected `DecodeBatch(blobs)` reply.
+    decoded: Vec<RgbImage>,
+}
+
+impl Workload {
+    /// The mix for `batch` images of `side`×`side`, predicted for a
+    /// service that encodes with `served` tables and, as every
+    /// `EncodeBatch` does, optimized Huffman.
+    fn new(side: usize, batch: usize, served: QuantTablePair) -> Result<Workload, CodecError> {
+        let images: Vec<RgbImage> = (0..batch).map(|slot| slot_image(side, slot)).collect();
+        let encode = |tables| -> Result<Vec<Vec<u8>>, CodecError> {
+            let encoder = Encoder::with_tables(tables);
+            images.iter().map(|img| encoder.encode(img)).collect()
+        };
+        let blobs = encode(QuantTablePair::standard(75))?;
+        let encoded = encode(served)?;
+        let decoder = Decoder::new();
+        let decoded = blobs
+            .iter()
+            .map(|b| decoder.decode(b))
+            .collect::<Result<_, _>>()?;
+        Ok(Workload {
+            images,
+            blobs,
+            encoded,
+            decoded,
+        })
+    }
+
+    /// Whether `reply` is exactly what a correct service answers to
+    /// request `i` of the mix: the right kind and the predicted bytes.
+    fn matches(&self, i: u64, reply: &PipelineReply) -> bool {
+        match (i % 4, reply) {
+            (0, PipelineReply::Pong) | (3, PipelineReply::Stats(_)) => true,
+            (1, PipelineReply::Encoded(blobs)) => *blobs == self.encoded,
+            (2, PipelineReply::Decoded(images)) => *images == self.decoded,
+            _ => false,
+        }
+    }
+}
+
+/// Batch slot `slot`'s image: the gradient with a blue level of its own.
+fn slot_image(side: usize, slot: usize) -> RgbImage {
+    let mut img = RgbImage::gradient(side, side);
+    let blue = (slot as u8).wrapping_mul(53).wrapping_add(128);
+    for px in img.as_bytes_mut().chunks_exact_mut(3) {
+        px[2] = blue;
+    }
+    img
+}
+
+/// The tables the service encodes with, read off its reply to one
+/// `EncodeBatch`. It travels on a short-lived connection: the scraper's
+/// carries only `Metrics`, which a sharded front answers itself, so it
+/// holds no backend link that a mid-storm kill could tear down.
+fn served_tables(addr: SocketAddr, image: RgbImage) -> Result<QuantTablePair, ServeError> {
+    let reply = Client::connect_retry(addr, Duration::from_secs(5))?.encode_batch(&[image])?;
+    match reply
+        .first()
+        .map(|stream| Decoder::new().read_quant_tables(stream))
+    {
+        Some(Ok([Some(luma), Some(chroma)])) => Ok(QuantTablePair { luma, chroma }),
+        _ => Err(ServeError::Protocol(
+            "served stream carries no luma and chroma tables".into(),
+        )),
+    }
+}
+
+/// Runs a whole load/soak session against a live server: learns the
+/// served tables, takes a fenced first scrape, runs `config.clients`
+/// concurrent load clients for `config.duration` with periodic scrapes
+/// throughout, takes a fenced final scrape, then reconciles and flags
+/// anomalies.
 ///
 /// # Errors
 ///
-/// Setup failures only — an unreachable server or an un-encodable test
-/// image. Load-phase failures are *data* (counted per category in the
-/// report), never errors.
+/// Setup failures only — an unreachable server, a served stream without
+/// quantization tables, or an un-encodable test image. Load-phase
+/// failures are *data* (counted per category in the report), never
+/// errors.
 pub fn run(config: &LoadgenConfig) -> Result<LoadReport, ServeError> {
     let clients = config.clients.max(1);
-    let images: Vec<RgbImage> = (0..config.batch.max(1))
-        .map(|_| RgbImage::gradient(config.image_side.max(8), config.image_side.max(8)))
-        .collect();
-    // Encode the decode-op payloads locally so the warm-up never skews
-    // the server-side accounting window.
-    let encoder = Encoder::with_tables(QuantTablePair::standard(75));
-    let mut ws = EncodeWorkspace::new();
-    let mut blobs = Vec::with_capacity(images.len());
-    for img in &images {
-        blobs.push(
-            encoder
-                .encode_with(img, &mut ws)
-                .map_err(|e| ServeError::Remote(format!("test image encode failed: {e}")))?,
-        );
-    }
+    let side = config.image_side.max(8);
+    let tables = served_tables(config.addr, slot_image(side, 0))?;
+    let work = Workload::new(side, config.batch.max(1), tables)
+        .map_err(|e| ServeError::Remote(format!("test image encode failed: {e}")))?;
+    let work = Arc::new(work);
 
     // The first scrape is a fence: it happens before any load request,
-    // so the series' first sample is the window's "before" state.
+    // so the series' first sample is the window's "before" state. The
+    // tables' connection may hold its admission slot a moment longer, so
+    // busy rejections here, outside the window, are retried.
     let mut scrape_client = Client::connect_retry(config.addr, Duration::from_secs(5))?;
-    let first_scrape = (deepn_trace::tick(), scrape_client.metrics()?);
+    let mut first = scrape_client.metrics();
+    for _ in 0..20 {
+        if !matches!(first, Err(ServeError::Busy(_))) {
+            break;
+        }
+        thread::sleep(Duration::from_millis(50));
+        first = scrape_client.metrics();
+    }
+    let first_scrape = (deepn_trace::tick(), first?);
     log::info("loadgen_start")
         .field("addr", config.addr)
         .field("clients", clients)
@@ -474,8 +573,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, ServeError> {
     let mut workers = Vec::with_capacity(clients);
     for index in 0..clients {
         let cfg = config.clone();
-        let images = images.clone();
-        let blobs = blobs.clone();
+        let work = Arc::clone(&work);
         workers.push(thread::spawn(move || {
             let pipelined = cfg.pipeline_window > 0 && index % 2 == 1;
             // Distinct per-client routing keys so a tagged storm against
@@ -483,9 +581,9 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, ServeError> {
             // of pinning the whole fleet's load to one table's shard.
             let routing_key = splitmix64(index as u64 + 1);
             if pipelined {
-                pipelined_worker(&cfg, &images, &blobs, deadline_ns, routing_key)
+                pipelined_worker(&cfg, &work, deadline_ns, routing_key)
             } else {
-                serial_worker(&cfg, &images, &blobs, deadline_ns, routing_key)
+                serial_worker(&cfg, &work, deadline_ns, routing_key)
             }
         }));
     }
@@ -531,6 +629,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, ServeError> {
     );
     log::info("loadgen_done")
         .field("ok", report.totals.ok)
+        .field("mismatch", report.totals.mismatch)
         .field("busy", report.totals.busy)
         .field("timeout", report.totals.timeout)
         .field("error", report.totals.error + report.totals.io_error)
@@ -577,6 +676,12 @@ fn analyze(
             "worker_panics: {worker_panics} load client(s) died"
         ));
     }
+    if totals.mismatch > 0 {
+        anomalies.push(format!(
+            "reply_mismatch: {} of {attempts} replies differ from the local codec",
+            totals.mismatch
+        ));
+    }
     if attempts > 0 {
         let hard = (totals.error + totals.io_error) as f64 / attempts as f64;
         if hard > config.max_error_rate {
@@ -620,6 +725,7 @@ fn analyze(
         // single-server reconciliation exact).
         if let Some(requests_delta) = server.requests_delta {
             let expected = (totals.ok
+                + totals.mismatch
                 + totals.timeout
                 + totals.error
                 + totals.negotiations
@@ -760,12 +866,11 @@ fn upgrade_if_tagged(cfg: &LoadgenConfig, client: &mut Client, t: &mut ClientTot
     }
 }
 
-/// A serial load client: one request at a time, mixed ops, per-request
-/// latency recorded on success.
+/// A serial load client: one request at a time, mixed ops, every reply
+/// checked against the workload, latency recorded for verified replies.
 fn serial_worker(
     cfg: &LoadgenConfig,
-    images: &[RgbImage],
-    blobs: &[Vec<u8>],
+    work: &Workload,
     deadline_ns: u64,
     routing_key: u64,
 ) -> ClientTotals {
@@ -790,13 +895,17 @@ fn serial_worker(
         }
         let t0 = deepn_trace::tick();
         let outcome = match i % 4 {
-            0 => client.ping(),
-            1 => client.encode_batch(images).map(|_| ()),
-            2 => client.decode_batch(blobs).map(|_| ()),
-            _ => client.stats().map(|_| ()),
+            0 => client.ping().map(|()| PipelineReply::Pong),
+            1 => client
+                .encode_batch(&work.images)
+                .map(PipelineReply::Encoded),
+            2 => client.decode_batch(&work.blobs).map(PipelineReply::Decoded),
+            _ => client.stats().map(PipelineReply::Stats),
         };
+        // The latency ends at the reply; the check is not part of it.
+        let elapsed_ns = deepn_trace::tick().saturating_sub(t0);
         let rejected = matches!(outcome, Err(ServeError::Busy(_) | ServeError::Io(_)));
-        t.tally(outcome, deepn_trace::tick().saturating_sub(t0));
+        t.tally(outcome.map(|reply| work.matches(i, &reply)), elapsed_ns);
         if rejected {
             // Back off a beat so a storm rejects at a bounded rate
             // instead of hammering the accept queue in a tight loop.
@@ -809,11 +918,10 @@ fn serial_worker(
 }
 
 /// A pipelined load client: submits a full window of mixed ops, then
-/// drains it, reconnecting when the pipeline dies.
+/// drains and checks it, reconnecting when the pipeline dies.
 fn pipelined_worker(
     cfg: &LoadgenConfig,
-    images: &[RgbImage],
-    blobs: &[Vec<u8>],
+    work: &Workload,
     deadline_ns: u64,
     routing_key: u64,
 ) -> ClientTotals {
@@ -844,8 +952,8 @@ fn pipelined_worker(
             for j in 0..window {
                 let sub = match j % 4 {
                     0 => p.submit_ping(),
-                    1 => p.submit_encode_batch(images),
-                    2 => p.submit_decode_batch(blobs),
+                    1 => p.submit_encode_batch(&work.images),
+                    2 => p.submit_decode_batch(&work.blobs),
                     _ => p.submit_stats(),
                 };
                 match sub {
@@ -857,18 +965,18 @@ fn pipelined_worker(
                     }
                 }
             }
-            // Drain every submitted request; a fatal transport error
-            // strands the rest of the window as unknowable io errors.
+            // Drain every submitted request; replies arrive in submission
+            // order. A fatal transport error strands the rest of the
+            // window as unknowable io errors.
             let mut drained = 0usize;
             while drained < submitted && p.pending() > 0 {
                 match p.recv() {
-                    Ok(PipelineReply::Pong)
-                    | Ok(PipelineReply::Encoded(_))
-                    | Ok(PipelineReply::Decoded(_))
-                    | Ok(PipelineReply::Labels(_))
-                    | Ok(PipelineReply::Stats(_))
-                    | Ok(PipelineReply::Metrics(_)) => {
-                        t.ok += 1;
+                    Ok(reply) => {
+                        if work.matches(drained as u64, &reply) {
+                            t.ok += 1;
+                        } else {
+                            t.mismatch += 1;
+                        }
                         drained += 1;
                     }
                     Err(e @ (ServeError::Io(_) | ServeError::Protocol(_))) => {
@@ -907,7 +1015,8 @@ mod tests {
     #[test]
     fn totals_merge_and_classify() {
         let mut a = ClientTotals::default();
-        a.tally(Ok(()), 1_000);
+        a.tally(Ok(true), 1_000);
+        a.tally(Ok(false), 0);
         a.tally(Err(ServeError::Busy("b".into())), 0);
         a.tally(Err(ServeError::Timeout("t".into())), 0);
         a.tally(Err(ServeError::Remote("r".into())), 0);
@@ -916,15 +1025,81 @@ mod tests {
             0,
         );
         assert_eq!(
-            (a.ok, a.busy, a.timeout, a.error, a.io_error),
-            (1, 1, 1, 1, 1)
+            (a.ok, a.mismatch, a.busy, a.timeout, a.error, a.io_error),
+            (1, 1, 1, 1, 1, 1)
         );
-        assert_eq!(a.attempts(), 5);
+        assert_eq!(a.attempts(), 6);
         let mut b = ClientTotals::default();
-        b.tally(Ok(()), 2_000);
+        b.tally(Ok(true), 2_000);
         b.absorb(a);
-        assert_eq!(b.ok, 2);
+        assert_eq!((b.ok, b.mismatch), (2, 1));
         assert_eq!(b.latency_ns, vec![2_000, 1_000]);
+    }
+
+    #[test]
+    fn only_the_local_codec_reply_counts_as_ok() {
+        let work = Workload::new(16, 2, QuantTablePair::standard(70)).expect("workload");
+        assert_ne!(work.images[0], work.images[1], "batch slots must differ");
+        let tally = |replies: Vec<(u64, PipelineReply)>| {
+            let mut t = ClientTotals::default();
+            for (i, reply) in replies {
+                t.tally(Ok(work.matches(i, &reply)), 0);
+            }
+            t
+        };
+
+        let exact = tally(vec![
+            (0, PipelineReply::Pong),
+            (1, PipelineReply::Encoded(work.encoded.clone())),
+            (2, PipelineReply::Decoded(work.decoded.clone())),
+        ]);
+        assert_eq!((exact.ok, exact.mismatch), (3, 0));
+
+        let mut flipped_stream = work.encoded.clone();
+        let last = flipped_stream[1].len() - 3;
+        flipped_stream[1][last] ^= 0x01;
+        let mut flipped_pixel = work.decoded.clone();
+        flipped_pixel[0].as_bytes_mut()[5] ^= 0x01;
+        let mut swapped = work.encoded.clone();
+        swapped.swap(0, 1);
+        let wrong = tally(vec![
+            (1, PipelineReply::Encoded(flipped_stream.clone())),
+            (2, PipelineReply::Decoded(flipped_pixel)),
+            (1, PipelineReply::Encoded(swapped)),
+            (1, PipelineReply::Pong),
+            (2, PipelineReply::Encoded(work.encoded.clone())),
+        ]);
+        assert_eq!(
+            (wrong.ok, wrong.mismatch),
+            (0, 5),
+            "each wrong reply is a mismatch"
+        );
+
+        // A run that reconciles exactly and is clean but for one flipped
+        // stream: the server counted all four replies plus one scrape.
+        let mut run = exact.clone();
+        run.absorb(tally(vec![(1, PipelineReply::Encoded(flipped_stream))]));
+        let scrape = |n: u64| {
+            format!(
+                "# HELP deepn_serve_requests_total r\n\
+                 # TYPE deepn_serve_requests_total counter\n\
+                 deepn_serve_requests_total {n}\n"
+            )
+        };
+        let mut series = MetricsSeries::new();
+        series.push(0, &scrape(10)).expect("first scrape");
+        series.push(1, &scrape(15)).expect("last scrape");
+        let config = LoadgenConfig::new("127.0.0.1:1".parse().map_err(|_| ()).expect("addr"));
+        let report = analyze(&config, 1, 1.0, run, 0, &series, 0, 0);
+        assert_eq!(report.totals.mismatch, 1);
+        assert!(!report.is_clean(), "a mismatched reply must fail the run");
+        assert_eq!(
+            report.anomalies.len(),
+            1,
+            "reply_mismatch only: {:?}",
+            report.anomalies
+        );
+        assert!(report.anomalies[0].starts_with("reply_mismatch"));
     }
 
     #[test]

@@ -44,6 +44,10 @@ fn clean_soak_reconciles_and_reports_valid_json() {
         report.anomalies
     );
     assert!(report.totals.ok > 0, "no successful requests");
+    assert_eq!(
+        report.totals.mismatch, 0,
+        "every reply must equal the local codec's"
+    );
     assert!(report.rps > 0.0);
     assert!(
         report.scrapes >= 2,
@@ -59,8 +63,10 @@ fn clean_soak_reconciles_and_reports_valid_json() {
     // client outcome plus every mid-window scrape is one server-counted
     // request.
     let delta = report.server.requests_delta.expect("requests_total delta");
-    let expected = (report.totals.ok + report.totals.timeout + report.totals.error) as f64
-        + (report.scrapes as f64 - 1.0);
+    let expected =
+        (report.totals.ok + report.totals.mismatch + report.totals.timeout + report.totals.error)
+            as f64
+            + (report.scrapes as f64 - 1.0);
     assert!(
         (delta - expected).abs() <= report.totals.io_error as f64,
         "server delta {delta} vs client-side {expected} (io {})",
@@ -75,6 +81,10 @@ fn clean_soak_reconciles_and_reports_valid_json() {
     assert_eq!(
         summary.get("requests_ok").and_then(|v| v.as_f64()),
         Some(report.totals.ok as f64)
+    );
+    assert_eq!(
+        summary.get("requests_mismatch").and_then(|v| v.as_f64()),
+        Some(0.0)
     );
 }
 

@@ -1,6 +1,6 @@
 //! The `deepn` command-line tool: build and persist artifacts, run the
-//! compression service, drive it from a benchmarking client, and rerun
-//! the figure pipeline against the decoded-set cache.
+//! compression service, drive it with a verifying load generator, and
+//! rerun the figure pipeline against the decoded-set cache.
 //!
 //! Run `deepn help` for the full usage text; `EXPERIMENTS.md` walks
 //! through the end-to-end workflow.
@@ -69,24 +69,20 @@ COMMANDS:
     loadgen       Load/soak a running service: N concurrent clients with a
                   mixed serial/pipelined op mix and optional connection
                   churn, a scraper thread polling the Metrics op
-                  throughout, and a reconciling BENCH-shaped JSON report.
-                  Exits nonzero when any anomaly flag is raised (error or
-                  reject rate over budget, throughput stall, client/server
-                  accounting mismatch) or the --baseline perf gate fails
+                  throughout, and a reconciling BENCH-shaped JSON report
+                  (stdout unless --out). Every encode/decode reply is
+                  checked byte for byte against the local codec on the
+                  served tables. Exits nonzero when any anomaly flag is
+                  raised (error or reject rate over budget, throughput
+                  stall, client/server accounting mismatch, a reply that
+                  differs from the local codec) or the --baseline perf
+                  gate fails
                   --addr HOST:PORT [--clients N] [--duration-secs N]
                   [--window W (0 = all serial)] [--churn] [--tagged
                   (drive protocol-v2 tagged framing)] [--image-side N]
                   [--batch N] [--scrape-ms N] [--max-error-rate F]
                   [--max-reject-rate F] [--out PATH] [--baseline PATH]
                   [--min-rps-frac F]
-    bench-client  Drive a running service and verify byte-identical
-                  round-trips against the local codec. --pipeline W adds a
-                  serial-vs-pipelined phase: the same per-image requests
-                  once strictly request/response, once with a W-deep
-                  in-flight window on the same connection
-                  --addr HOST:PORT --tables PATH [--scale fast|full]
-                  [--batch N] [--iters N] [--model PATH] [--pipeline W]
-                  [--shutdown]
     metrics       Print a running service's Prometheus-style metrics.
                   --pretty summarizes histograms (count/mean/p50/p90/p99);
                   --check validates the exposition and exits nonzero on a
@@ -197,7 +193,6 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(args),
         "shard" => cmd_shard(args),
         "loadgen" => cmd_loadgen(args),
-        "bench-client" => cmd_bench_client(args),
         "pipeline" => cmd_pipeline(args),
         "trace-export" => cmd_trace_export(args),
         "inspect" => cmd_inspect(args),
@@ -219,7 +214,7 @@ fn main() -> ExitCode {
 
 /// The dataset every artifact-producing command derives from: the scale's
 /// spec generated at a fixed seed, so `build-table`, `train`, and
-/// `bench-client` all agree on the data distribution.
+/// `pipeline` all agree on the data distribution.
 fn dataset_for(scale: Scale, seed: u64) -> ImageSet {
     ImageSet::generate(&scale.dataset_spec(), seed)
 }
@@ -659,16 +654,19 @@ fn cmd_loadgen(mut args: Args) -> Result<(), Box<dyn Error>> {
     let json = report.to_json();
     deepn::trace::export::validate_json(&json)
         .map_err(|e| format!("internal error: loadgen report JSON malformed: {e}"))?;
+    // Stdout carries only the report, so it parses as JSON; every
+    // human-readable line goes to stderr.
     if let Some(path) = &out {
         std::fs::write(path, &json)?;
-        println!("loadgen report written to {path}");
+        eprintln!("loadgen report written to {path}");
     } else {
         print!("{json}");
     }
-    println!(
-        "loadgen: {} ok, {} busy, {} timeout, {} error, {} io over {:.1}s \
-         ({:.1} req/s, {} scrapes)",
+    eprintln!(
+        "loadgen: {} ok, {} mismatch, {} busy, {} timeout, {} error, {} io \
+         over {:.1}s ({:.1} req/s, {} scrapes)",
         report.totals.ok,
+        report.totals.mismatch,
         report.totals.busy,
         report.totals.timeout,
         report.totals.error,
@@ -690,7 +688,7 @@ fn cmd_loadgen(mut args: Args) -> Result<(), Box<dyn Error>> {
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("baseline {bp} has no loadgen_summary.rps"))?;
         let floor = base_rps * min_rps_frac;
-        println!(
+        eprintln!(
             "perf gate: {:.1} req/s vs baseline {base_rps:.1} (floor {floor:.1})",
             report.rps
         );
@@ -712,96 +710,6 @@ fn cmd_loadgen(mut args: Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_bench_client(mut args: Args) -> Result<(), Box<dyn Error>> {
-    let addr = args.required("--addr")?;
-    let tables_path = args.required("--tables")?;
-    let batch = args.parsed("--batch", 16usize)?;
-    let iters = args.parsed("--iters", 4usize)?;
-    let seed = args.parsed("--seed", 0xDEE9u64)?;
-    // Must match the scale the served tables/model were built at, or the
-    // classify check feeds the model images of the wrong geometry.
-    let scale = args.scale()?;
-    let model_path = args.value("--model")?;
-    let pipeline_window = args.parsed("--pipeline", 0usize)?;
-    let stop = args.flag("--shutdown");
-    args.finish()?;
-
-    let tables: QuantTablePair = store::load(&tables_path)?;
-    let set = dataset_for(scale, seed);
-    let images: Vec<_> = set.images().iter().cycle().take(batch).cloned().collect();
-    let raw_bytes: usize = images.iter().map(|i| i.as_bytes().len()).sum();
-
-    let mut client = Client::connect_retry(addr.as_str(), Duration::from_secs(10))?;
-    client.ping()?;
-
-    let encoder = Encoder::with_tables(tables);
-    let decoder = Decoder::new();
-    let mut compressed_total = 0usize;
-    let t0 = Instant::now();
-    for iter in 0..iters {
-        let streams = client.encode_batch(&images)?;
-        let decoded = client.decode_batch(&streams)?;
-        // Byte-identity against the local codec, both directions.
-        for (i, img) in images.iter().enumerate() {
-            let local = encoder.encode(img)?;
-            if streams[i] != local {
-                return Err(format!(
-                    "iter {iter}: service stream {i} differs from local encode \
-                     ({} vs {} bytes)",
-                    streams[i].len(),
-                    local.len()
-                )
-                .into());
-            }
-            if decoded[i] != decoder.decode(&local)? {
-                return Err(format!("iter {iter}: service decode {i} differs from local").into());
-            }
-        }
-        compressed_total += streams.iter().map(Vec::len).sum::<usize>();
-    }
-    let elapsed = t0.elapsed();
-    let total_images = batch * iters;
-    println!("round-trip OK: {total_images} images byte-identical over {iters} batches");
-    println!(
-        "throughput: {:.0} images/s, {:.2} MiB raw in, {:.2} MiB compressed \
-         (CR {:.2}) in {elapsed:.2?}",
-        total_images as f64 / elapsed.as_secs_f64(),
-        (raw_bytes * iters) as f64 / (1 << 20) as f64,
-        compressed_total as f64 / (1 << 20) as f64,
-        (raw_bytes * iters) as f64 / compressed_total as f64,
-    );
-    if let Some(p) = &model_path {
-        // The service classifies with a shared `&self` model across its
-        // workers; verify it agrees with the same weights run locally.
-        let stored: StoredModel = store::load(p)?;
-        let net = stored.instantiate()?;
-        let tensors = deepn::core::experiment::to_tensors(&images);
-        let indices: Vec<usize> = (0..tensors.len()).collect();
-        let local = net.predict(&deepn::nn::stack_batch(&tensors, &indices));
-        let remote = client.classify(&images)?;
-        if local != remote {
-            return Err("service classification differs from local model".into());
-        }
-        println!(
-            "classification OK: {} labels match the local model",
-            local.len()
-        );
-    }
-    if pipeline_window > 0 {
-        run_pipeline_phase(&mut client, &encoder, &images, iters, pipeline_window)?;
-    }
-    let stats = client.stats()?;
-    println!(
-        "service counters: {} requests, {} encoded, {} decoded ({} workers)",
-        stats.requests, stats.images_encoded, stats.images_decoded, stats.workers
-    );
-    if stop {
-        client.shutdown()?;
-        println!("service shutdown requested");
-    }
-    Ok(())
-}
-
 /// Unwraps a [`PipelineReply`] expected to carry exactly one encoded
 /// stream.
 fn expect_encoded(reply: PipelineReply) -> Result<Vec<u8>, Box<dyn Error>> {
@@ -809,74 +717,6 @@ fn expect_encoded(reply: PipelineReply) -> Result<Vec<u8>, Box<dyn Error>> {
         PipelineReply::Encoded(mut blobs) if blobs.len() == 1 => Ok(blobs.remove(0)),
         other => Err(format!("unexpected pipelined reply: {other:?}").into()),
     }
-}
-
-/// The serial-vs-pipelined comparison phase of `bench-client`: the same
-/// per-image encode requests, first strictly request/response, then with a
-/// `window`-deep in-flight window on the same connection. Pipelining hides
-/// the per-request round-trip gap (the service computes request `k` while
-/// requests `k+1..k+window` are already on the wire), so the second number
-/// should grow with the window even on one connection. Every pipelined
-/// reply is verified byte-identical to the local codec.
-fn run_pipeline_phase(
-    client: &mut Client,
-    encoder: &Encoder,
-    images: &[deepn::codec::RgbImage],
-    iters: usize,
-    window: usize,
-) -> Result<(), Box<dyn Error>> {
-    let requests = images.len() * iters;
-    // One local reference encode per distinct image, computed outside the
-    // timed phases and reused for every iteration's verification.
-    let references: Vec<Vec<u8>> = images
-        .iter()
-        .map(|img| encoder.encode(img))
-        .collect::<Result<_, _>>()?;
-
-    // Phase 1 — serial: wait out every round trip.
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for img in images {
-            client.encode_batch(std::slice::from_ref(img))?;
-        }
-    }
-    let serial = t0.elapsed();
-
-    // Phase 2 — pipelined: same requests, same connection, bounded window.
-    let mut streams = Vec::with_capacity(requests);
-    let t0 = Instant::now();
-    {
-        let mut pipe = client.pipeline(window);
-        for _ in 0..iters {
-            for img in images {
-                pipe.submit_encode_batch(std::slice::from_ref(img))?;
-                while let Some(reply) = pipe.try_ready() {
-                    streams.push(expect_encoded(reply?)?);
-                }
-            }
-        }
-        while pipe.pending() > 0 {
-            streams.push(expect_encoded(pipe.recv()?)?);
-        }
-    }
-    let pipelined = t0.elapsed();
-
-    // Replies must sequence in submission order and match the local codec.
-    for (i, stream) in streams.iter().enumerate() {
-        if stream != &references[i % references.len()] {
-            return Err(format!("pipelined reply {i} differs from local encode").into());
-        }
-    }
-    let per_sec = |d: Duration| requests as f64 / d.as_secs_f64();
-    println!(
-        "pipeline phase: {requests} single-image requests on one connection\n\
-         \x20 serial    (window 1): {serial:>9.2?}  ({:.0} req/s)\n\
-         \x20 pipelined (window {window}): {pipelined:>9.2?}  ({:.0} req/s, {:.2}x)",
-        per_sec(serial),
-        per_sec(pipelined),
-        serial.as_secs_f64() / pipelined.as_secs_f64(),
-    );
-    Ok(())
 }
 
 fn cmd_pipeline(mut args: Args) -> Result<(), Box<dyn Error>> {

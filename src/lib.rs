@@ -32,8 +32,9 @@
 //!
 //! The `deepn` binary (`cargo run --bin deepn`) wires these together:
 //! `build-table` / `train` persist artifacts, `serve` loads them into the
-//! service, `bench-client` drives it, and `pipeline` reruns the figure
-//! experiment with the decoded-set cache. `EXPERIMENTS.md` walks through
+//! service, `loadgen` drives it and checks every reply against the local
+//! codec, and `pipeline` reruns the figure experiment with the
+//! decoded-set cache. `EXPERIMENTS.md` walks through
 //! the full workflow.
 //!
 //! ## Quickstart
