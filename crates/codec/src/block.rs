@@ -1,4 +1,6 @@
-//! 8×8 block partitioning with edge replication.
+//! 8×8 block geometry and the block-to-plane merge. The split of pixels
+//! into blocks, with edge replication, is
+//! [`blockize_strip`](crate::stream::blockize_strip).
 
 use crate::color::Plane;
 
@@ -12,29 +14,6 @@ pub type Block = [f32; 64];
 /// of 8.
 pub fn blocks_along(len: usize) -> usize {
     len.div_ceil(BLOCK_SIZE)
-}
-
-/// Partitions a plane into level-shifted 8×8 blocks in raster order.
-/// Samples beyond the right/bottom edge replicate the nearest edge sample,
-/// the standard JPEG padding choice that avoids ringing at image borders.
-pub fn plane_to_blocks(plane: &Plane) -> Vec<Block> {
-    let (w, h) = (plane.width, plane.height);
-    let (bw, bh) = (blocks_along(w), blocks_along(h));
-    let mut blocks = Vec::with_capacity(bw * bh);
-    for by in 0..bh {
-        for bx in 0..bw {
-            let mut blk = [0.0f32; 64];
-            for iy in 0..BLOCK_SIZE {
-                let sy = (by * BLOCK_SIZE + iy).min(h - 1);
-                for ix in 0..BLOCK_SIZE {
-                    let sx = (bx * BLOCK_SIZE + ix).min(w - 1);
-                    blk[iy * BLOCK_SIZE + ix] = plane.samples[sy * w + sx] - 128.0;
-                }
-            }
-            blocks.push(blk);
-        }
-    }
-    blocks
 }
 
 /// Reassembles raster-ordered blocks into a plane of the given size,
@@ -72,46 +51,31 @@ pub fn blocks_to_plane(blocks: &[Block], width: usize, height: usize) -> Plane {
 mod tests {
     use super::*;
 
-    fn ramp_plane(w: usize, h: usize) -> Plane {
-        let mut p = Plane::new(w, h);
-        for i in 0..w * h {
-            p.samples[i] = (i % 251) as f32;
+    #[test]
+    fn merge_undoes_the_level_shift_and_drops_padding() {
+        for (w, h) in [(16, 8), (9, 7), (1, 1), (8, 13), (17, 17)] {
+            let (bw, bh) = (blocks_along(w), blocks_along(h));
+            // Block sample = its padded-grid position, shifted down by 128.
+            let blocks: Vec<Block> = (0..bw * bh)
+                .map(|b| {
+                    std::array::from_fn(|i| {
+                        let x = (b % bw) * BLOCK_SIZE + i % BLOCK_SIZE;
+                        let y = (b / bw) * BLOCK_SIZE + i / BLOCK_SIZE;
+                        (y * 256 + x) as f32 - 128.0
+                    })
+                })
+                .collect();
+            let plane = blocks_to_plane(&blocks, w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    assert_eq!(
+                        plane.at(x, y),
+                        (y * 256 + x) as f32,
+                        "{w}x{h} at ({x}, {y})"
+                    );
+                }
+            }
         }
-        p
-    }
-
-    #[test]
-    fn round_trip_exact_multiple() {
-        let p = ramp_plane(16, 8);
-        let back = blocks_to_plane(&plane_to_blocks(&p), 16, 8);
-        assert_eq!(p.samples, back.samples);
-    }
-
-    #[test]
-    fn round_trip_ragged_sizes() {
-        for (w, h) in [(9, 7), (1, 1), (8, 13), (17, 17)] {
-            let p = ramp_plane(w, h);
-            let back = blocks_to_plane(&plane_to_blocks(&p), w, h);
-            assert_eq!(p.samples, back.samples, "size {w}x{h}");
-        }
-    }
-
-    #[test]
-    fn padding_replicates_edge() {
-        // 1x1 plane: the single sample must fill the whole block.
-        let mut p = Plane::new(1, 1);
-        p.samples[0] = 200.0;
-        let blocks = plane_to_blocks(&p);
-        assert_eq!(blocks.len(), 1);
-        assert!(blocks[0].iter().all(|&v| (v - 72.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn level_shift_centers_samples() {
-        let mut p = Plane::new(8, 8);
-        p.samples.iter_mut().for_each(|s| *s = 128.0);
-        let blocks = plane_to_blocks(&p);
-        assert!(blocks[0].iter().all(|&v| v == 0.0));
     }
 
     #[test]

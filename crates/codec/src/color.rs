@@ -38,7 +38,14 @@ impl Plane {
 /// Converts one RGB pixel to YCbCr (all components in `[0, 255]`,
 /// chroma centered at 128).
 pub fn rgb_to_ycbcr(rgb: [u8; 3]) -> [f32; 3] {
-    let (r, g, b) = (f32::from(rgb[0]), f32::from(rgb[1]), f32::from(rgb[2]));
+    ycbcr(f32::from(rgb[0]), f32::from(rgb[1]), f32::from(rgb[2]))
+}
+
+/// The forward transform itself, the one place its formula lives: the
+/// encoder's block split calls it on eight pixels at a time, so every
+/// sample goes through the same IEEE operations as [`rgb_to_ycbcr`].
+#[inline(always)]
+pub(crate) fn ycbcr(r: f32, g: f32, b: f32) -> [f32; 3] {
     let y = 0.299 * r + 0.587 * g + 0.114 * b;
     let cb = 128.0 - 0.168_736 * r - 0.331_264 * g + 0.5 * b;
     let cr = 128.0 + 0.5 * r - 0.418_688 * g - 0.081_312 * b;
@@ -60,21 +67,6 @@ pub fn ycbcr_to_rgb(ycc: [f32; 3]) -> [u8; 3] {
 /// as an integer lands where the float clamp does.
 fn clamp_u8(v: f32) -> u8 {
     round_to_i32(v).clamp(0, 255) as u8
-}
-
-/// Splits an RGB image into full-resolution Y, Cb, Cr planes (4:4:4).
-pub fn image_to_planes(img: &RgbImage) -> [Plane; 3] {
-    let (w, h) = (img.width(), img.height());
-    let mut planes = [Plane::new(w, h), Plane::new(w, h), Plane::new(w, h)];
-    for y in 0..h {
-        for x in 0..w {
-            let ycc = rgb_to_ycbcr(img.get(x, y));
-            for (p, &v) in planes.iter_mut().zip(ycc.iter()) {
-                p.samples[y * w + x] = v;
-            }
-        }
-    }
-    planes
 }
 
 /// Recombines Y, Cb, Cr planes into an RGB image.
@@ -173,7 +165,13 @@ mod tests {
     #[test]
     fn plane_round_trip_preserves_image() {
         let img = RgbImage::gradient(9, 7);
-        let back = planes_to_image(&image_to_planes(&img));
+        let mut planes = [Plane::new(9, 7), Plane::new(9, 7), Plane::new(9, 7)];
+        for (i, px) in img.as_bytes().chunks_exact(3).enumerate() {
+            for (plane, v) in planes.iter_mut().zip(rgb_to_ycbcr([px[0], px[1], px[2]])) {
+                plane.samples[i] = v;
+            }
+        }
+        let back = planes_to_image(&planes);
         for y in 0..7 {
             for x in 0..9 {
                 let a = img.get(x, y);

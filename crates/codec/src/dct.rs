@@ -44,6 +44,7 @@ fn alpha(u: usize) -> f32 {
 /// assert!((c[0] - 80.0).abs() < 1e-3); // DC = 8 * mean
 /// assert!(c[1..].iter().all(|v| v.abs() < 1e-3));
 /// ```
+#[inline(always)]
 pub fn forward_dct_8x8(block: &Block) -> Block {
     let cos = cos_table();
     // Rows first.

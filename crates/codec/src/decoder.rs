@@ -139,6 +139,14 @@ impl Decoder {
     /// [`DecodeWorkspace`] — no per-block heap allocation once the
     /// workspace is warm.
     ///
+    /// The pixel buffer is reserved from the frame size, but never beyond
+    /// what the scan can decode to: every block costs at least two bits (a
+    /// DC code and an EOB), so an MCU of three blocks and 192 RGB bytes
+    /// costs at least six, and one scan byte yields at most 256 RGB bytes.
+    /// A forged SOF0 over a short scan therefore ends in a typed error
+    /// without a frame-sized allocation, and a valid stream still
+    /// allocates its image once.
+    ///
     /// # Errors
     ///
     /// As [`decode`](Self::decode).
@@ -148,17 +156,14 @@ impl Decoder {
         ws: &mut DecodeWorkspace,
     ) -> Result<RgbImage, CodecError> {
         let mut session = self.stream_decoder(bytes)?;
-        let mut image = RgbImage::new(session.width(), session.height());
-        let stride = session.width() * 3;
+        let (w, h) = (session.width(), session.height());
+        let scan_len = bytes.len() - session.scan_start();
+        let mut pixels = Vec::with_capacity((w * h * 3).min(256 * scan_len));
         let mut strip = PixelStrip::new();
-        let mut y0 = 0usize;
         while session.next_strip(ws, &mut strip)? {
-            let rows = strip.rows();
-            image.as_bytes_mut()[y0 * stride..(y0 + rows) * stride]
-                .copy_from_slice(strip.as_bytes());
-            y0 += rows;
+            pixels.extend_from_slice(strip.as_bytes());
         }
-        Ok(image)
+        RgbImage::from_bytes(w, h, pixels)
     }
 
     /// Opens a streaming decode session over `bytes`: headers are parsed

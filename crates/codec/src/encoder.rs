@@ -1,13 +1,13 @@
 use crate::bitstream::BitWriter;
-use crate::block::{blocks_along, plane_to_blocks};
+use crate::block::blocks_along;
 use crate::coeffs::{tokenize_block, ScanTables};
-use crate::color::image_to_planes;
-use crate::dct::forward_dct_8x8;
 use crate::huffman::HuffmanSpec;
 use crate::marker::{
     jfif_app0_payload, write_marker, write_segment, APP0, DHT, DQT, EOI, SOF0, SOI, SOS,
 };
-use crate::stream::{EncodeWorkspace, PixelStrip, StreamEncoder};
+use crate::stream::{
+    blockize_and_transform, strip_count_for, EncodeWorkspace, PixelStrip, StreamEncoder,
+};
 use crate::zigzag::scan;
 use crate::{CodecError, QuantTablePair, RgbImage};
 
@@ -164,8 +164,9 @@ impl Encoder {
     /// Runs the pipeline up to and including quantization, returning the
     /// coefficient-domain representation.
     ///
-    /// The per-block DCT → quantize → zig-zag work runs in raster order
-    /// on the calling thread, like every codec stage; callers that want
+    /// The image goes strip by strip through the same stages 1–5 as an
+    /// encode session, on the calling thread, and each strip's
+    /// coefficients are appended to the three planes; callers that want
     /// parallelism fan out over whole images.
     ///
     /// # Errors
@@ -179,24 +180,22 @@ impl Encoder {
                 height: h,
             });
         }
-        let planes = image_to_planes(image);
-        let mut out: [Vec<[i32; 64]>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (ci, plane) in planes.iter().enumerate() {
-            let table = if ci == 0 {
-                &self.tables.luma
-            } else {
-                &self.tables.chroma
-            };
-            let blocks = plane_to_blocks(plane);
-            out[ci] = blocks
-                .iter()
-                .map(|b| scan(&table.quantize(&forward_dct_8x8(b))))
-                .collect();
+        let bw = blocks_along(w);
+        let mut planes: [Vec<[i32; 64]>; 3] =
+            std::array::from_fn(|_| Vec::with_capacity(bw * blocks_along(h)));
+        let mut ws = EncodeWorkspace::new();
+        let mut strip = PixelStrip::new();
+        for s in 0..strip_count_for(h) {
+            strip.copy_from_image(image, s);
+            blockize_and_transform(&strip, &mut ws, &self.tables);
+            for (plane, coeffs) in planes.iter_mut().zip(ws.coeffs.chunks_exact(bw)) {
+                plane.extend_from_slice(coeffs);
+            }
         }
         Ok(CoefficientPlanes {
             width: w,
             height: h,
-            planes: out,
+            planes,
         })
     }
 

@@ -10,7 +10,8 @@
 //! swapped freely:
 //!
 //! 1. RGB → YCbCr color transform ([`color`])
-//! 2. 8×8 block partition with edge replication ([`block`])
+//! 2. 8×8 block partition with edge replication, fused with step 1
+//!    ([`stream::blockize_strip`], [`block`])
 //! 3. 2-D DCT-II per block ([`dct`])
 //! 4. quantization with arbitrary tables + IJG quality scaling ([`quant`])
 //! 5. zig-zag reordering ([`zigzag`])

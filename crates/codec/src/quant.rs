@@ -134,6 +134,7 @@ impl QuantTable {
 
     /// Quantizes a DCT coefficient block: `round(c / q)` per entry, ties
     /// away from zero.
+    #[inline(always)]
     pub fn quantize(&self, coeffs: &Block) -> [i32; 64] {
         let mut out = [0i32; 64];
         for ((o, &c), &q) in out.iter_mut().zip(coeffs.iter()).zip(self.values.iter()) {
@@ -161,16 +162,37 @@ impl QuantTable {
 /// (for |x| < 2²³ both are exact; from there to the `i32` limits `x` is a
 /// whole number and `f` is 0).
 /// `t` then moves one step away from zero when `|f| >= 0.5`. The `|f| < 1`
-/// bound leaves the saturated cases alone: for ±∞ and for finite values
+/// bound leaves the out-of-range cases alone: for ±∞ and for finite values
 /// outside the `i32` range, `f` is infinite or a whole number. Branch-free
 /// on purpose — the fractions are random, so a branch would mispredict.
+///
+/// The truncation is an unchecked conversion of `x` bounded to the `i32`
+/// range, not `x as i32`: the saturating cast's NaN and range checks keep
+/// LLVM from vectorizing the quantize loop. Two fix-ups then restore what
+/// the bound changed: values at or above 2³¹ saturate to `i32::MAX`, and
+/// NaN (which the bound maps to `i32::MIN`) gives 0.
 #[inline]
 pub(crate) fn round_to_i32(x: f32) -> i32 {
-    let t = x as i32;
+    // Two statements, not one `max().min()` chain, which clippy would
+    // rewrite as `f32::clamp`: that keeps NaN, and NaN would make the
+    // conversion below undefined behaviour. `f32::max` returns the bound
+    // for NaN.
+    let c = x.max(-2_147_483_648.0);
+    // 2^31 - 128, the largest f32 below 2^31.
+    let c = c.min(2_147_483_520.0);
+    // SAFETY: `c` is finite and in [-2^31, 2^31 - 128], so its truncation
+    // fits in an `i32`.
+    let t: i32 = unsafe { c.to_int_unchecked() };
     let f = x - t as f32;
     let up = i32::from((0.5..1.0).contains(&f));
     let down = i32::from((f <= -0.5) & (f > -1.0));
-    t.wrapping_add(up).wrapping_sub(down)
+    let r = t.wrapping_add(up).wrapping_sub(down);
+    let r = if x >= 2_147_483_648.0 { i32::MAX } else { r };
+    if x.is_nan() {
+        0
+    } else {
+        r
+    }
 }
 
 /// The luma/chroma table pair carried by an encoder (JPEG allows up to four
@@ -324,7 +346,7 @@ mod tests {
     }
 
     /// Every one of the 2^32 bit patterns. Slow in a debug build; CI runs
-    /// it with `cargo test --release -p deepn-codec -- --ignored`.
+    /// it with `cargo test --release -p deepn-codec -- --include-ignored`.
     #[test]
     #[ignore = "exhaustive over all f32 bit patterns; run in release"]
     fn rounding_matches_std_on_every_f32() {

@@ -22,6 +22,19 @@
 //! which `tests/proptest_stream.rs` enforces. The full stage graph and
 //! workspace ownership rules are documented in `docs/CODEC_PIPELINE.md`.
 //!
+//! ## Instruction sets
+//!
+//! ColorConvert and BlockSplit are one pass ([`blockize_strip`]): pixels
+//! go straight into level-shifted blocks, with no strip planes between.
+//! Stages 1–5 of an encode strip are compiled twice from one scalar
+//! body: for the baseline target, and with AVX2 enabled (not FMA). The
+//! session and [`Encoder::quantize_image`](crate::Encoder::quantize_image)
+//! run the AVX2 instance when the CPU has AVX2. Rust neither contracts a
+//! multiply and an add nor reassociates `f32`, so each 8-wide lane
+//! performs the baseline instance's IEEE operations in the same order and
+//! the output bytes are the same on every x86-64 CPU; a unit test here
+//! compares the two instances bit for bit.
+//!
 //! ## The two Huffman modes
 //!
 //! Per-image optimized Huffman tables (the [`Encoder`] default) need the
@@ -63,7 +76,7 @@
 use crate::bitstream::{BitReader, BitWriter};
 use crate::block::{blocks_along, Block, BLOCK_SIZE};
 use crate::coeffs::{decode_block, tokenize_block, ScanTables};
-use crate::color::{rgb_to_ycbcr, ycbcr_to_rgb};
+use crate::color::{ycbcr, ycbcr_to_rgb};
 use crate::dct::{forward_dct_8x8, inverse_dct_8x8};
 use crate::decoder::ScanSetup;
 use crate::encoder::write_headers;
@@ -167,9 +180,10 @@ impl PixelStrip {
     }
 }
 
-/// Caller-owned scratch buffers for the encode-side stages. Buffers are
-/// sized on first use and reused verbatim while the strip width is
-/// unchanged — the steady-state strip loop allocates nothing per block.
+/// Caller-owned scratch buffers for the encode-side stages: one strip's
+/// blocks and coefficients. Buffers are sized on first use and reused
+/// verbatim while the strip width is unchanged — the steady-state strip
+/// loop allocates nothing per block.
 ///
 /// Between an optimized session's two passes the workspace also holds
 /// that session's entropy tokens, so both passes must use the same
@@ -178,9 +192,10 @@ impl PixelStrip {
 pub struct EncodeWorkspace {
     width: usize,
     bw: usize,
-    planes: [Vec<f32>; 3],
     blocks: Vec<Block>,
-    coeffs: Vec<[i32; 64]>,
+    /// Quantized zig-zag coefficients of the latest strip, Y blocks
+    /// first, then Cb, then Cr.
+    pub(crate) coeffs: Vec<[i32; 64]>,
     /// Entropy tokens of the latest analysis pass, in scan order.
     tokens: Vec<u32>,
     /// End offset in `tokens` of each analyzed strip.
@@ -200,10 +215,6 @@ impl EncodeWorkspace {
             return;
         }
         let bw = blocks_along(width);
-        for plane in &mut self.planes {
-            plane.clear();
-            plane.resize(STRIP_ROWS * width, 0.0);
-        }
         self.blocks.clear();
         self.blocks.resize(3 * bw, [0.0; 64]);
         self.coeffs.clear();
@@ -261,36 +272,46 @@ impl DecodeWorkspace {
     }
 }
 
-/// Stages 1–2 of the encode pipeline: color-convert `strip` into Y/Cb/Cr
-/// strip planes, then split each plane into level-shifted 8×8 blocks with
-/// edge replication (Y blocks first, then Cb, then Cr — read them back
-/// with [`EncodeWorkspace::component_blocks`]).
+/// Stages 1–2 of the encode pipeline, fused: ColorConvert each pixel of
+/// `strip` and BlockSplit its level-shifted (−128) Y/Cb/Cr samples
+/// straight into the three components' 8×8 blocks, replicating the
+/// nearest edge pixel beyond the right/bottom borders (the standard JPEG
+/// padding choice). Y blocks come first, then Cb, then Cr — read them
+/// back with [`EncodeWorkspace::component_blocks`].
+#[inline(always)]
 pub fn blockize_strip(strip: &PixelStrip, ws: &mut EncodeWorkspace) {
     ws.ensure(strip.width);
-    let (w, rows) = (strip.width, strip.rows);
-    // Stage 1 — ColorConvert.
-    for y in 0..rows {
-        for x in 0..w {
-            let i = (y * w + x) * 3;
-            let ycc = rgb_to_ycbcr([strip.data[i], strip.data[i + 1], strip.data[i + 2]]);
-            for (plane, &v) in ws.planes.iter_mut().zip(ycc.iter()) {
-                plane[y * w + x] = v;
-            }
-        }
-    }
-    // Stage 2 — BlockSplit: replicate the nearest edge sample beyond the
-    // right/bottom borders (the standard JPEG padding choice) and center
-    // samples on zero.
-    let bw = ws.bw;
-    for ci in 0..3 {
-        let plane = &ws.planes[ci];
-        for bx in 0..bw {
-            let blk = &mut ws.blocks[ci * bw + bx];
-            for iy in 0..BLOCK_SIZE {
-                let sy = iy.min(rows - 1);
+    let (w, rows, bw) = (strip.width, strip.rows, ws.bw);
+    let (luma, chroma) = ws.blocks.split_at_mut(bw);
+    let (cb_blocks, cr_blocks) = chroma.split_at_mut(bw);
+    for iy in 0..BLOCK_SIZE {
+        let row = &strip.data[iy.min(rows - 1) * w * 3..][..w * 3];
+        let blocks = luma
+            .iter_mut()
+            .zip(cb_blocks.iter_mut())
+            .zip(cr_blocks.iter_mut());
+        for (bx, ((y_blk, cb_blk), cr_blk)) in blocks.enumerate() {
+            let x0 = bx * BLOCK_SIZE;
+            let mut put = |ix: usize, [y, cb, cr]: [f32; 3]| {
+                let i = iy * BLOCK_SIZE + ix;
+                y_blk[i] = y - 128.0;
+                cb_blk[i] = cb - 128.0;
+                cr_blk[i] = cr - 128.0;
+            };
+            if x0 + BLOCK_SIZE <= w {
+                // A full block: deinterleave its eight pixels into lanes.
+                let px = &row[x0 * 3..][..BLOCK_SIZE * 3];
+                let lane =
+                    |c: usize| -> [f32; 8] { std::array::from_fn(|i| f32::from(px[3 * i + c])) };
+                let (r, g, b) = (lane(0), lane(1), lane(2));
                 for ix in 0..BLOCK_SIZE {
-                    let sx = (bx * BLOCK_SIZE + ix).min(w - 1);
-                    blk[iy * BLOCK_SIZE + ix] = plane[sy * w + sx] - 128.0;
+                    put(ix, ycbcr(r[ix], g[ix], b[ix]));
+                }
+            } else {
+                // The right-edge block.
+                for ix in 0..BLOCK_SIZE {
+                    let p = &row[(x0 + ix).min(w - 1) * 3..][..3];
+                    put(ix, ycbcr(f32::from(p[0]), f32::from(p[1]), f32::from(p[2])));
                 }
             }
         }
@@ -301,12 +322,51 @@ pub fn blockize_strip(strip: &PixelStrip, ws: &mut EncodeWorkspace) {
 /// holds, in block order on the calling thread. Results are written by
 /// index into the workspace's coefficient buffer, so nothing is
 /// allocated.
+#[inline(always)]
 fn transform_strip(ws: &mut EncodeWorkspace, tables: &QuantTablePair) {
     let bw = ws.bw;
     for (i, (blk, out)) in ws.blocks.iter().zip(&mut ws.coeffs).enumerate() {
         let table = if i < bw { &tables.luma } else { &tables.chroma };
         *out = scan(&table.quantize(&forward_dct_8x8(blk)));
     }
+}
+
+/// Stages 1–5 on one strip, each of its two loops timed as a stage — the
+/// body that both instruction-set instances compile.
+#[inline(always)]
+fn stages(strip: &PixelStrip, ws: &mut EncodeWorkspace, tables: &QuantTablePair) {
+    {
+        let _t = timer(Stage::EncodeColor);
+        blockize_strip(strip, ws);
+    }
+    let _t = timer(Stage::EncodeTransform);
+    transform_strip(ws, tables);
+}
+
+/// [`stages`] compiled for AVX2: eight `f32` lanes per instruction where
+/// the baseline target has SSE2's four. AVX2 alone, without FMA, so each
+/// lane performs the baseline instance's IEEE operations in the same
+/// order and no output byte can differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn stages_avx2(strip: &PixelStrip, ws: &mut EncodeWorkspace, tables: &QuantTablePair) {
+    stages(strip, ws, tables);
+}
+
+/// Stages 1–5 on one strip through the AVX2 instance when the CPU has
+/// AVX2 (std caches the check), else through the baseline instance.
+pub(crate) fn blockize_and_transform(
+    strip: &PixelStrip,
+    ws: &mut EncodeWorkspace,
+    tables: &QuantTablePair,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the one feature `stages_avx2` enables.
+        unsafe { stages_avx2(strip, ws, tables) };
+        return;
+    }
+    stages(strip, ws, tables);
 }
 
 /// Source of session ids, which tie a workspace's tokens to the session
@@ -450,7 +510,7 @@ impl<'e> StreamEncoder<'e> {
                 "another session analyzed into this workspace mid-pass".into(),
             ));
         }
-        self.blockize_and_transform(strip, ws);
+        blockize_and_transform(strip, ws, self.encoder.tables());
         let _t = timer(Stage::EncodeEntropy);
         let bw = ws.bw;
         for b in 0..bw {
@@ -464,16 +524,6 @@ impl<'e> StreamEncoder<'e> {
         ws.strip_ends.push(ws.tokens.len());
         self.analyzed += 1;
         Ok(())
-    }
-
-    /// Stages 1–5 on one strip, each of its two loops timed as a stage.
-    fn blockize_and_transform(&self, strip: &PixelStrip, ws: &mut EncodeWorkspace) {
-        {
-            let _t = timer(Stage::EncodeColor);
-            blockize_strip(strip, ws);
-        }
-        let _t = timer(Stage::EncodeTransform);
-        transform_strip(ws, self.encoder.tables());
     }
 
     /// Builds the Huffman tables — optimized ones from the counts of the
@@ -533,7 +583,7 @@ impl<'e> StreamEncoder<'e> {
         }
         self.check_strip(strip, self.encoded)?;
         if !optimized {
-            self.blockize_and_transform(strip, ws);
+            blockize_and_transform(strip, ws, self.encoder.tables());
         }
         // The entropy stage includes building the tables and writing the
         // headers on the first strip; `begin` reads only the tokens.
@@ -639,6 +689,11 @@ impl<'b> StreamDecoder<'b> {
         self.strip_count
     }
 
+    /// Offset of the entropy-coded scan in the stream.
+    pub(crate) fn scan_start(&self) -> usize {
+        self.setup.scan_start
+    }
+
     /// Rows of the strip at `index` (8, except a shorter final strip).
     ///
     /// # Panics
@@ -724,6 +779,7 @@ impl<'b> StreamDecoder<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::color::rgb_to_ycbcr;
     use crate::Decoder;
 
     fn stream_encode(enc: &Encoder, img: &RgbImage, ws: &mut EncodeWorkspace) -> Vec<u8> {
@@ -858,6 +914,77 @@ mod tests {
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8)
             .collect();
         RgbImage::from_bytes(width, height, data).expect("sized buffer")
+    }
+
+    #[test]
+    fn blockize_replicates_edge_pixels_and_shifts_levels() {
+        let mut ws = EncodeWorkspace::new();
+        let mut strip = PixelStrip::new();
+        for (w, h) in [(16, 8), (9, 7), (1, 1), (8, 13), (17, 17)] {
+            let img = noisy(w, h);
+            for s in 0..strip_count_for(h) {
+                strip.copy_from_image(&img, s);
+                blockize_strip(&strip, &mut ws);
+                for ci in 0..3 {
+                    for (bx, blk) in ws.component_blocks(ci).iter().enumerate() {
+                        for (i, &v) in blk.iter().enumerate() {
+                            // Past the right/bottom border: the nearest edge pixel.
+                            let x = (bx * BLOCK_SIZE + i % BLOCK_SIZE).min(w - 1);
+                            let y = (s * STRIP_ROWS + i / BLOCK_SIZE).min(h - 1);
+                            let want = rgb_to_ycbcr(img.get(x, y))[ci] - 128.0;
+                            assert_eq!(v.to_bits(), want.to_bits(), "{w}x{h} ({x}, {y}) c{ci}");
+                        }
+                    }
+                }
+            }
+        }
+        // Black is Y = 0 and neutral chroma: −128 and 0 after the shift.
+        strip.set_rows(3, 2, &[0; 18]).expect("sized strip");
+        blockize_strip(&strip, &mut ws);
+        assert!(ws.component_blocks(0)[0].iter().all(|&v| v == -128.0));
+        for ci in 1..3 {
+            assert!(ws.component_blocks(ci)[0].iter().all(|&v| v == 0.0));
+        }
+    }
+
+    /// The only test that runs the baseline instance of stages 1–5 on an
+    /// AVX2 host: both instances must produce the same blocks, bit for
+    /// bit, and the same coefficients.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_instance_matches_the_baseline_instance() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skipped: this CPU has no AVX2");
+            return;
+        }
+        let tables = [
+            QuantTablePair::standard(1),
+            QuantTablePair::standard(50),
+            QuantTablePair::standard(100),
+            QuantTablePair::uniform(1),
+            QuantTablePair::uniform(255),
+        ];
+        let (mut base, mut avx2) = (EncodeWorkspace::new(), EncodeWorkspace::new());
+        let mut strip = PixelStrip::new();
+        let bits = |ws: &EncodeWorkspace| -> Vec<u32> {
+            ws.blocks.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        for w in [1, 7, 8, 9, 33, 256] {
+            for h in [1, 8, 17] {
+                for img in [RgbImage::gradient(w, h), noisy(w, h)] {
+                    for t in &tables {
+                        for s in 0..strip_count_for(h) {
+                            strip.copy_from_image(&img, s);
+                            stages(&strip, &mut base, t);
+                            // SAFETY: the CPU supports AVX2, checked at the top of the test.
+                            unsafe { stages_avx2(&strip, &mut avx2, t) };
+                            assert_eq!(bits(&base), bits(&avx2), "{w}x{h} strip {s} blocks");
+                            assert_eq!(base.coeffs, avx2.coeffs, "{w}x{h} strip {s} coeffs");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! doublings.
 //!
 //! The counting allocator is this binary's own, and counts per thread, so
-//! tests running in parallel do not see each other's allocations.
+//! tests running in parallel do not see each other's allocations. It also
+//! records the largest single request, which bounds what a forged header
+//! can make the decoder reserve.
 
 use deepn::codec::{DecodeWorkspace, Decoder, EncodeWorkspace, Encoder, RgbImage};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -20,18 +22,20 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn bump() {
-    // `try_with`: the slot is gone while the thread is being torn down.
+fn bump(size: usize) {
+    // `try_with`: the slots are gone while the thread is being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
 }
 
 // SAFETY: delegates verbatim to the system allocator; the thread-local
 // counter has no allocator-visible side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
@@ -44,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's pointer, layout, and size verbatim;
     // the counter bump has no allocator-visible side effects.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -107,4 +111,25 @@ fn warm_decode_allocations_do_not_grow_with_the_image() {
             dec.decode_with(bytes, &mut ws).expect("decodes");
         },
     );
+}
+
+#[test]
+fn a_forged_frame_size_reserves_no_frame_sized_buffer() {
+    // One 8x8 block of scan data under a SOF0 that claims 64x65535, whose
+    // pixels would take 12,582,720 bytes.
+    let mut bytes = Encoder::with_quality(75)
+        .encode(&gradient(8))
+        .expect("encodes");
+    let sof = bytes
+        .windows(2)
+        .position(|m| m == [0xFF, 0xC0])
+        .expect("has a SOF0 marker");
+    // Marker (2), length (2) and precision (1), then height and width.
+    bytes[sof + 5..sof + 9].copy_from_slice(&[0xFF, 0xFF, 0x00, 0x40]);
+    LARGEST.with(|m| m.set(0));
+    let result = Decoder::new().decode(&bytes);
+    let largest = LARGEST.with(Cell::get);
+    println!("forged 64x65535 header: {result:?}, largest request {largest} bytes");
+    assert!(result.is_err(), "decoded 64x65535 pixels from one block");
+    assert!(largest < 1 << 20, "reserved {largest} bytes");
 }

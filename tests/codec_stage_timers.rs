@@ -1,6 +1,7 @@
 //! The codec stage-timer contract. With tracing on, every timed loop
 //! records one sample per strip into its stage's histogram on the global
-//! registry; an optimized encode runs its entropy loop once per pass.
+//! registry; an optimized encode runs its entropy loop once per pass, and
+//! `Encoder::quantize_image` runs only the color and transform loops.
 //! With tracing off, no timer records, and an untraced process never
 //! registers the histograms at all.
 //!
@@ -41,6 +42,9 @@ fn each_stage_records_one_sample_per_strip_and_loop_only_while_tracing() {
     let encode = |enc: &Encoder| {
         enc.encode(&img).expect("encode");
     };
+    let quantize = || {
+        optimized.quantize_image(&img).expect("quantize");
+    };
     let decode = || {
         decoder.decode(&bytes).expect("decode");
     };
@@ -49,6 +53,7 @@ fn each_stage_records_one_sample_per_strip_and_loop_only_while_tracing() {
     set_enabled(false);
     encode(&optimized);
     encode(&standard);
+    quantize();
     decode();
     assert_eq!(counts(), [None; 6], "an untraced process registers nothing");
 
@@ -66,6 +71,11 @@ fn each_stage_records_one_sample_per_strip_and_loop_only_while_tracing() {
             deltas(|| encode(&standard)),
             [S, S, S, 0, 0, 0].map(|n| n * on),
             "standard-Huffman encode, traced = {traced}"
+        );
+        assert_eq!(
+            deltas(quantize),
+            [S, S, 0, 0, 0, 0].map(|n| n * on),
+            "quantize_image, traced = {traced}"
         );
         assert_eq!(
             deltas(decode),
