@@ -81,17 +81,20 @@ pub fn planes_to_image(planes: &[Plane; 3]) -> RgbImage {
         "plane size mismatch"
     );
     let mut img = RgbImage::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let ycc = [
-                planes[0].samples[y * w + x],
-                planes[1].samples[y * w + x],
-                planes[2].samples[y * w + x],
-            ];
-            img.put(x, y, ycbcr_to_rgb(ycc));
-        }
-    }
+    let [y, cb, cr] = planes;
+    planes_to_rgb(&y.samples, &cb.samples, &cr.samples, img.as_bytes_mut());
     img
+}
+
+/// Inverse ColorConvert of Y, Cb, Cr sample rows into interleaved RGB
+/// bytes, one pixel per `rgb` triple — the loop the streaming decoder
+/// runs on every strip.
+#[inline]
+pub(crate) fn planes_to_rgb(y_plane: &[f32], cb_plane: &[f32], cr_plane: &[f32], rgb: &mut [u8]) {
+    let samples = y_plane.iter().zip(cb_plane).zip(cr_plane);
+    for (px, ((&y, &cb), &cr)) in rgb.chunks_exact_mut(3).zip(samples) {
+        px.copy_from_slice(&ycbcr_to_rgb([y, cb, cr]));
+    }
 }
 
 #[cfg(test)]

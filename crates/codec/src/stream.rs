@@ -76,7 +76,7 @@
 use crate::bitstream::{BitReader, BitWriter};
 use crate::block::{blocks_along, Block, BLOCK_SIZE};
 use crate::coeffs::{decode_block, tokenize_block, ScanTables};
-use crate::color::{ycbcr, ycbcr_to_rgb};
+use crate::color::{planes_to_rgb, ycbcr};
 use crate::dct::{forward_dct_8x8, inverse_dct_8x8};
 use crate::decoder::ScanSetup;
 use crate::encoder::write_headers;
@@ -767,10 +767,7 @@ impl<'b> StreamDecoder<'b> {
         strip.rows = rows;
         strip.data.resize(rows * w * 3, 0);
         let [y_plane, cb_plane, cr_plane] = &ws.planes;
-        let samples = y_plane.iter().zip(cb_plane).zip(cr_plane);
-        for (px, ((&y, &cb), &cr)) in strip.data.chunks_exact_mut(3).zip(samples) {
-            px.copy_from_slice(&ycbcr_to_rgb([y, cb, cr]));
-        }
+        planes_to_rgb(y_plane, cb_plane, cr_plane, &mut strip.data);
         self.emitted += 1;
         Ok(true)
     }

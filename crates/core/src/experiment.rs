@@ -352,37 +352,22 @@ pub fn run_case(
     train_scheme: &CompressionScheme,
     test_scheme: &CompressionScheme,
 ) -> Result<CaseOutcome, CoreError> {
-    run_case_cached(cfg, set, train_scheme, test_scheme, &mut NoCache)
-}
-
-/// [`run_case`] with the compress→decode step routed through a
-/// [`RoundTripCache`], so repeated figure runs over the same scheme and
-/// dataset skip the serial per-image round trip.
-///
-/// # Errors
-///
-/// As [`run_case`].
-pub fn run_case_cached(
-    cfg: &ExperimentConfig,
-    set: &ImageSet,
-    train_scheme: &CompressionScheme,
-    test_scheme: &CompressionScheme,
-    cache: &mut dyn RoundTripCache,
-) -> Result<CaseOutcome, CoreError> {
     run_case_cached_with_models(
         cfg,
         set,
         train_scheme,
         test_scheme,
-        cache,
+        &mut NoCache,
         &mut NoModelCache,
     )
 }
 
-/// [`run_case_cached`] with the training stage additionally routed through
-/// a [`ModelCache`]: a hit skips training and only re-evaluates the cached
-/// model on the test split (training is deterministic, so the accuracy is
-/// identical to a fresh run's final entry).
+/// [`run_case`] with the compress→decode step routed through a
+/// [`RoundTripCache`], so repeated figure runs over the same scheme and
+/// dataset skip the serial per-image round trip, and the training stage
+/// through a [`ModelCache`]: a hit skips training and only re-evaluates
+/// the cached model on the test split (training is deterministic, so the
+/// accuracy is identical to a fresh run's final entry).
 ///
 /// The model cache is bypassed when `cfg.track_epochs` is set — per-epoch
 /// curves require the actual training trajectory.
@@ -473,21 +458,8 @@ pub fn run_symmetric(
     run_case(cfg, set, scheme, scheme)
 }
 
-/// [`run_symmetric`] through a [`RoundTripCache`].
-///
-/// # Errors
-///
-/// As [`run_case`].
-pub fn run_symmetric_cached(
-    cfg: &ExperimentConfig,
-    set: &ImageSet,
-    scheme: &CompressionScheme,
-    cache: &mut dyn RoundTripCache,
-) -> Result<CaseOutcome, CoreError> {
-    run_case_cached(cfg, set, scheme, scheme, cache)
-}
-
-/// [`run_symmetric_cached`] with a [`ModelCache`] for the training stage.
+/// [`run_symmetric`] through a [`RoundTripCache`] and a [`ModelCache`]
+/// (see [`run_case_cached_with_models`]).
 ///
 /// # Errors
 ///

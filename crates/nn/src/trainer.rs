@@ -156,17 +156,22 @@ impl Trainer {
     /// Test-set top-1 accuracy of `net`, evaluated in inference mode on a
     /// shared reference (no mutation, safe to call concurrently).
     ///
-    /// Mini-batches are forwarded in parallel on the `deepn-parallel`
-    /// pool and predictions reassembled in batch order; inference is
-    /// per-sample independent, so the result is bit-identical to the
-    /// sequential batch loop at any `DEEPN_THREADS`.
+    /// Samples are forwarded in parallel on the `deepn-parallel` pool in
+    /// groups of at most `batch_size`, and predictions reassembled in
+    /// sample order. A group's own matmuls run inline on its pool worker,
+    /// so the groups alone must balance the load: they are also no larger
+    /// than [`deepn_parallel::chunk_size_for`], which gives every thread
+    /// several. Inference is per-sample independent, so the result is
+    /// bit-identical to the sequential batch loop at any `DEEPN_THREADS`.
     pub fn evaluate(&self, net: &Sequential, test_x: &[Tensor], test_y: &[usize]) -> f64 {
         assert_eq!(test_x.len(), test_y.len(), "test label mismatch");
         if test_x.is_empty() {
             return 0.0;
         }
         let idx: Vec<usize> = (0..test_x.len()).collect();
-        let batches: Vec<&[usize]> = idx.chunks(self.config.batch_size.max(1)).collect();
+        let group = deepn_parallel::chunk_size_for(deepn_parallel::global(), idx.len())
+            .min(self.config.batch_size.max(1));
+        let batches: Vec<&[usize]> = idx.chunks(group).collect();
         let preds: Vec<usize> = deepn_parallel::par_map_collect(&batches, |_, chunk| {
             let x = stack_batch(test_x, chunk);
             net.infer(&x).argmax_rows()
@@ -252,6 +257,38 @@ mod tests {
         let h = Trainer::new(cfg).fit(&mut net, &xs, &ys, &xs, &ys);
         assert_eq!(h.test_accuracy.len(), 4);
         assert_eq!(h.train_loss.len(), 4);
+    }
+
+    #[test]
+    fn evaluate_predicts_like_one_batch_at_a_time() {
+        let net = crate::zoo::mini_alexnet(3, 8, 8, 4, 7);
+        let xs: Vec<Tensor> = (0..37)
+            .map(|i| {
+                let data = (0..3 * 8 * 8)
+                    .map(|j| ((i * 31 + j * 17) % 23) as f32 / 23.0)
+                    .collect();
+                Tensor::from_vec(data, &[3, 8, 8])
+            })
+            .collect();
+        let idx: Vec<usize> = (0..xs.len()).collect();
+        let batch_size = 16;
+        let reference: Vec<usize> = idx
+            .chunks(batch_size)
+            .flat_map(|chunk| net.infer(&stack_batch(&xs, chunk)).argmax_rows())
+            .collect();
+        assert!(
+            reference.iter().any(|&p| p != reference[0]),
+            "the probe net must not predict one class for every sample"
+        );
+        // Labelled with the reference predictions, accuracy is 1 exactly
+        // when every regrouped prediction matches.
+        let trainer = Trainer::new(TrainConfig {
+            batch_size,
+            ..TrainConfig::default()
+        });
+        assert_eq!(trainer.evaluate(&net, &xs, &reference), 1.0);
+        let wrong: Vec<usize> = reference.iter().map(|&p| (p + 1) % 4).collect();
+        assert_eq!(trainer.evaluate(&net, &xs, &wrong), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # deepn-parallel
 //!
-//! A small work-stealing compute runtime for the DeepN-JPEG hot paths —
+//! A small data-parallel compute runtime for the DeepN-JPEG hot paths —
 //! the workspace's stand-in for `rayon`, built from scratch because the
 //! build environment has no crates.io access (the same way `deepn-store`
 //! replaces serde).
@@ -8,19 +8,17 @@
 //! ## Model
 //!
 //! One process-global pool, lazily initialized on first use and sized from
-//! the available cores, drives every data-parallel operation:
+//! the available cores, drives two data-parallel operations:
 //!
-//! - [`par_chunks`] / [`par_chunks_mut`] — disjoint slice pieces in
-//!   parallel;
-//! - [`par_map_collect`] — an indexed map collected in input order;
-//! - [`join`] — two-way fork/join;
-//! - [`scope`] — structured spawning of borrowing tasks.
+//! - [`par_chunks_mut`] — disjoint mutable slice pieces in parallel;
+//! - [`par_map_collect`] — an indexed map collected in input order.
 //!
-//! Each worker owns a deque: owners push/pop at the back, idle siblings
-//! steal from the front, so imbalanced workloads rebalance without a
-//! central queue. A panicking task poisons only its own job — the panic
-//! payload is rethrown on the thread that waits for that job, after every
-//! task of the job has finished — and never takes down a pool thread.
+//! Every worker pulls tasks from one shared queue. A parallel call made on
+//! a worker (from inside a task) runs inline, so no thread ever waits on
+//! the pool it runs on. A panicking task poisons only its own job — the
+//! panic payload is rethrown on the thread that waits for that job, after
+//! every task of the job has finished — and never takes down a pool
+//! thread.
 //!
 //! ## `DEEPN_THREADS` and determinism
 //!
@@ -40,9 +38,6 @@
 //! ```
 //! let squares = deepn_parallel::par_map_collect(&[1u64, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! let (a, b) = deepn_parallel::join(|| 2 + 2, || "together");
-//! assert_eq!((a, b), (4, "together"));
 //! ```
 
 #![deny(missing_docs)]
@@ -50,18 +45,18 @@
 mod ops;
 mod pool;
 
-pub use ops::{chunk_size_for, Scope};
+pub use ops::chunk_size_for;
 pub use pool::Pool;
 
 use std::sync::OnceLock;
 
 /// Environment variable selecting the global pool's thread count.
-pub const THREADS_ENV: &str = "DEEPN_THREADS";
+const THREADS_ENV: &str = "DEEPN_THREADS";
 
 /// Thread count the global pool will use: `DEEPN_THREADS` when it parses
 /// as a positive integer (clamped to 256), else the machine's available
 /// parallelism.
-pub fn configured_threads() -> usize {
+fn configured_threads() -> usize {
     std::env::var(THREADS_ENV)
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
@@ -81,9 +76,9 @@ pub fn global() -> &'static Pool {
 }
 
 /// Effective parallelism for a call made right now on this thread: 1
-/// inside [`run_sequential`] (or with a one-thread pool), else the global
-/// pool's thread count. Dispatch heuristics ("is this worth forking?")
-/// should consult this, not `configured_threads`.
+/// inside [`run_sequential`], on a pool worker, or with a one-thread
+/// pool, else the global pool's thread count. Dispatch heuristics ("is
+/// this worth forking?") should consult this, not the pool size.
 pub fn current_threads() -> usize {
     if pool::forced_sequential() {
         1
@@ -110,39 +105,6 @@ pub fn run_sequential<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// [`Pool::worker_busy_ns`] on the global pool: per-worker busy time in
-/// nanoseconds, advancing only while tracing is enabled.
-pub fn worker_busy_ns() -> Vec<u64> {
-    global().worker_busy_ns()
-}
-
-/// [`Pool::join`] on the global pool.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    global().join(a, b)
-}
-
-/// [`Pool::scope`] on the global pool.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'_, 'env>) -> R,
-{
-    global().scope(f)
-}
-
-/// [`Pool::par_chunks`] on the global pool.
-pub fn par_chunks<T, F>(data: &[T], chunk_size: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &[T]) + Sync,
-{
-    global().par_chunks(data, chunk_size, f);
-}
-
 /// [`Pool::par_chunks_mut`] on the global pool.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, f: F)
 where
@@ -167,7 +129,6 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     fn pools() -> Vec<Pool> {
         vec![
@@ -206,42 +167,21 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_observes_disjoint_pieces() {
-        let data: Vec<u32> = (0..57).collect();
-        for pool in pools() {
-            let seen = Mutex::new(vec![0u32; 57]);
-            pool.par_chunks(&data, 8, |ci, chunk| {
-                let mut seen = seen.lock().expect("lock");
-                for (j, &v) in chunk.iter().enumerate() {
-                    assert_eq!(v as usize, ci * 8 + j);
-                    seen[v as usize] += 1;
-                }
+    fn calls_made_on_a_worker_run_inline() {
+        let pool = Pool::with_threads(2);
+        let outer: Vec<usize> = (0..8).collect();
+        let seen = pool.par_map_collect(&outer, |_, _| {
+            let me = std::thread::current().id();
+            let mut inner = vec![None; 16];
+            pool.par_chunks_mut(&mut inner, 1, |_, slot| {
+                slot[0] = Some(std::thread::current().id());
             });
-            assert!(seen.into_inner().expect("lock").iter().all(|&c| c == 1));
-        }
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        for pool in pools() {
-            let (a, b) = pool.join(|| 40 + 2, || "parallel".len());
-            assert_eq!((a, b), (42, 8));
-        }
-    }
-
-    #[test]
-    fn scope_runs_all_spawned_tasks_with_borrows() {
-        for pool in pools() {
-            let counter = AtomicUsize::new(0);
-            pool.scope(|s| {
-                for _ in 0..64 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(counter.load(Ordering::Relaxed), 64);
-        }
+            let on_this_thread = inner.iter().all(|&id| id == Some(me));
+            (current_threads(), on_this_thread)
+        });
+        assert_eq!(seen, vec![(1, true); 8]);
+        // The caller is not a worker: its parallelism is unchanged.
+        assert_eq!(current_threads(), global().threads());
     }
 
     #[test]
@@ -282,24 +222,23 @@ mod tests {
     }
 
     #[test]
-    fn scope_panic_waits_for_siblings_then_rethrows() {
+    fn chunk_panic_is_rethrown_after_every_sibling_finished() {
         let pool = Pool::with_threads(4);
-        let finished = AtomicUsize::new(0);
-        let finished = &finished;
+        let mut data = vec![0u32; 16];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..16 {
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("spawned task panicked");
-                        }
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
+            pool.par_chunks_mut(&mut data, 1, |ci, chunk| {
+                if ci == 3 {
+                    panic!("chunk 3 panicked");
                 }
+                // Long enough that an early rethrow would find siblings
+                // still running.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                chunk[0] = 1;
             });
         }));
         assert!(result.is_err());
-        assert_eq!(finished.load(Ordering::Relaxed), 15);
+        assert_eq!(data.iter().sum::<u32>(), 15);
+        assert_eq!(data[3], 0);
     }
 
     #[test]
@@ -318,28 +257,6 @@ mod tests {
     #[test]
     fn configured_threads_is_positive() {
         assert!(configured_threads() >= 1);
-    }
-
-    #[test]
-    fn worker_busy_time_advances_only_under_tracing() {
-        let pool = Pool::with_threads(2);
-        let spin = |_: usize, &x: &u64| {
-            let mut acc = x;
-            for i in 0..10_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            acc
-        };
-        let items: Vec<u64> = (0..64).collect();
-        // Tracing disabled (the default): busy counters must not move.
-        let before = pool.par_map_collect(&items, spin);
-        assert_eq!(pool.worker_busy_ns().iter().sum::<u64>(), 0);
-        deepn_trace::set_enabled(true);
-        let after = pool.par_map_collect(&items, spin);
-        deepn_trace::set_enabled(false);
-        assert!(pool.worker_busy_ns().iter().sum::<u64>() > 0);
-        // And instrumentation never changes results.
-        assert_eq!(before, after);
     }
 
     #[test]

@@ -1,21 +1,19 @@
-//! The work-stealing thread pool: per-worker deques, a round-robin
-//! submitter, and sibling stealing, with panic containment per job.
+//! The thread pool: one task queue that every worker pulls from, tasks
+//! that never fork again (a worker runs its nested calls inline), and
+//! panic containment per job.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
-use std::time::Duration;
 
 /// The pool's process-wide instruments, registered once on the global
-/// `deepn-trace` registry. Steal counts and the queue high-water mark are
-/// always live (plain atomics, no clock); busy-time is recorded only
-/// while tracing is enabled, because it needs two clock reads per task.
+/// `deepn-trace` registry. The queue high-water mark is always live (a
+/// plain atomic, no clock); busy-time is recorded only while tracing is
+/// enabled, because it needs two clock reads per task.
 struct PoolMetrics {
-    steals: Arc<deepn_trace::Counter>,
     queue_high_water: Arc<deepn_trace::Gauge>,
     busy_ns: Arc<deepn_trace::Counter>,
 }
@@ -25,13 +23,9 @@ fn metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| {
         let registry = deepn_trace::global();
         PoolMetrics {
-            steals: registry.counter(
-                "deepn_parallel_steals_total",
-                "Tasks stolen from a sibling worker's deque",
-            ),
             queue_high_water: registry.gauge(
                 "deepn_parallel_queue_high_water",
-                "Largest per-worker deque depth observed since process start",
+                "Largest task-queue depth observed since process start",
             ),
             busy_ns: registry.counter(
                 "deepn_parallel_worker_busy_ns_total",
@@ -43,10 +37,10 @@ fn metrics() -> &'static PoolMetrics {
 
 /// Locks a mutex, recovering from poisoning instead of panicking.
 ///
-/// Every critical section in this module is a single queue push/pop,
-/// counter read, or notify that cannot be left half-done: user-task
-/// panics are caught in [`Task::execute`] *outside* these locks, so a
-/// poisoned mutex here means a thread died between acquiring and
+/// Every critical section in this module is a queue push/pop, a job
+/// counter update, or a condvar wait that cannot be left half-done:
+/// user-task panics are caught in [`run`] *outside* these locks,
+/// so a poisoned mutex here means a thread died between acquiring and
 /// releasing a lock around an operation that either happened or did not.
 /// The protected data is therefore always consistent, and recovering is
 /// sound — while propagating the poison would escalate one caught panic
@@ -56,13 +50,9 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 thread_local! {
-    /// `(Shared address, worker index)` when the current thread is a pool
-    /// worker — lets a nested parallel call help execute instead of
-    /// blocking (which would deadlock a pool whose every worker waits).
-    static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-
     /// Depth of [`crate::run_sequential`] sections on this thread. Any
     /// non-zero depth forces every parallel entry point to run inline.
+    /// Pool workers hold one section for their whole life.
     static FORCE_SEQUENTIAL: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -87,173 +77,110 @@ pub(crate) fn forced_sequential() -> bool {
     FORCE_SEQUENTIAL.with(Cell::get) > 0
 }
 
-/// Tracks one logical job: a batch of tasks submitted together (one
-/// `par_*` call, one `join`, or one `scope`). Completion is a counter;
-/// the first panicking task poisons the job and the panic payload is
-/// rethrown on the thread that waits for the job — a panic costs its job,
-/// never a pool thread.
-pub(crate) struct JobTracker {
-    remaining: AtomicUsize,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    lock: Mutex<()>,
-    cv: Condvar,
+/// One batch of tasks submitted together by one `par_*` call: how many
+/// have not finished yet, and the first panic among them. The panic is
+/// rethrown on the thread that waits for the job, after every task of the
+/// job has finished — a panic costs its job, never a pool thread.
+struct Job {
+    state: Mutex<(usize, Option<Box<dyn Any + Send>>)>,
+    done: Condvar,
 }
 
-impl JobTracker {
-    pub(crate) fn new(tasks: usize) -> Self {
-        JobTracker {
-            remaining: AtomicUsize::new(tasks),
-            panic: Mutex::new(None),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
+impl Job {
+    fn finish(&self, outcome: std::thread::Result<()>) {
+        let mut state = lock_unpoisoned(&self.state);
+        state.0 -= 1;
+        if let Err(payload) = outcome {
+            state.1.get_or_insert(payload);
+        }
+        if state.0 == 0 {
+            self.done.notify_all();
         }
     }
 
-    pub(crate) fn add_task(&self) {
-        self.remaining.fetch_add(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-
-    pub(crate) fn poison(&self, payload: Box<dyn Any + Send>) {
-        let mut slot = lock_unpoisoned(&self.panic);
-        slot.get_or_insert(payload);
-    }
-
-    fn complete_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = lock_unpoisoned(&self.lock);
-            self.cv.notify_all();
+    /// Blocks until every task of the job finished, then rethrows the
+    /// first task panic, if any.
+    fn wait(&self) {
+        let mut state = lock_unpoisoned(&self.state);
+        while state.0 > 0 {
+            state = self
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Rethrows the first panic recorded by this job, if any. Must only be
-    /// called once the job is done.
-    pub(crate) fn propagate_panic(&self) {
-        let payload = lock_unpoisoned(&self.panic).take();
-        if let Some(p) = payload {
-            resume_unwind(p);
+        if let Some(payload) = state.1.take() {
+            drop(state);
+            resume_unwind(payload);
         }
     }
 }
 
 /// One unit of queued work, bound to its job.
 struct Task {
-    run: Box<dyn FnOnce() + Send + 'static>,
-    job: Arc<JobTracker>,
+    run: Box<dyn FnOnce() + Send>,
+    job: Arc<Job>,
 }
 
-impl Task {
-    fn execute(self) {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(self.run)) {
-            self.job.poison(payload);
-        }
-        self.job.complete_one();
-    }
+/// The queue every worker pulls from. Pushes, pops and shutdown all
+/// happen under its one lock, so a worker that saw it empty and waits on
+/// [`Shared::ready`] cannot miss the push that follows.
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
 }
 
 /// State shared between the pool handle and its workers.
 struct Shared {
-    /// One deque per worker. Owners pop from the back (LIFO, cache-warm);
-    /// thieves steal from the front (FIFO, oldest first).
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Wakeup generation counter; bumped (under `sleep`) on every submit.
-    sleep: Mutex<u64>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-    /// Round-robin cursor so successive external submissions spread across
-    /// workers.
-    next_deque: AtomicUsize,
-    /// Per-worker nanoseconds spent executing tasks; only advances while
-    /// tracing is enabled (see [`Shared::execute_timed`]).
-    busy_ns: Vec<AtomicU64>,
+    queue: Mutex<Queue>,
+    ready: Condvar,
 }
 
-impl Shared {
-    /// Finds a runnable task: own deque first, then steal from siblings in
-    /// ring order.
-    fn find_task(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(me) = me {
-            if let Some(t) = lock_unpoisoned(&self.deques[me]).pop_back() {
-                return Some(t);
-            }
-        }
-        let n = self.deques.len();
-        let start = me.map_or(0, |m| (m + 1) % n);
-        for off in 0..n {
-            let victim = (start + off) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(t) = lock_unpoisoned(&self.deques[victim]).pop_front() {
-                metrics().steals.inc();
-                return Some(t);
-            }
-        }
-        None
+/// Runs a task, charging its wall time to the process-wide busy total
+/// when tracing is enabled (disabled cost: one relaxed atomic load, no
+/// clock read), then reports it to its job — last, so the job's waiter
+/// sees the busy time.
+fn run(task: Task) {
+    let start = deepn_trace::enabled().then(deepn_trace::tick);
+    let outcome = catch_unwind(AssertUnwindSafe(task.run));
+    if let Some(start) = start {
+        metrics()
+            .busy_ns
+            .add(deepn_trace::tick().saturating_sub(start));
     }
-
-    /// Runs a task, charging its wall time to `worker`'s busy counter and
-    /// the process-wide busy total when tracing is enabled. Disabled cost:
-    /// one relaxed atomic load, no clock read.
-    fn execute_timed(&self, worker: usize, task: Task) {
-        if deepn_trace::enabled() {
-            let start = deepn_trace::tick();
-            task.execute();
-            let dur = deepn_trace::tick().saturating_sub(start);
-            self.busy_ns[worker].fetch_add(dur, Ordering::Relaxed);
-            metrics().busy_ns.add(dur);
-        } else {
-            task.execute();
-        }
-    }
-
-    fn wake_all(&self) {
-        let mut generation = lock_unpoisoned(&self.sleep);
-        *generation = generation.wrapping_add(1);
-        self.cv.notify_all();
-    }
+    task.job.finish(outcome);
 }
 
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    CURRENT_WORKER.with(|w| w.set(Some((Arc::as_ptr(shared) as usize, index))));
+fn worker_loop(shared: &Shared) {
+    // A task's own parallel calls run inline, so no worker ever waits on
+    // the pool it runs on.
+    let _inline = SequentialGuard::new();
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Busy path: no shared lock — dequeue and run.
-        if let Some(task) = shared.find_task(Some(index)) {
-            shared.execute_timed(index, task);
-            continue;
-        }
-        // Miss path only: snapshot the wakeup generation, re-check for
-        // work submitted in the window before the snapshot, then sleep.
-        // A submit between re-check and wait bumps the generation, which
-        // the check under the lock observes — no lost wakeup.
-        let generation = *lock_unpoisoned(&shared.sleep);
-        if let Some(task) = shared.find_task(Some(index)) {
-            shared.execute_timed(index, task);
-            continue;
-        }
-        let guard = lock_unpoisoned(&shared.sleep);
-        if *guard == generation && !shared.shutdown.load(Ordering::Acquire) {
-            // The timeout is belt-and-braces against a missed wakeup; the
-            // generation check makes the common path race-free. A poisoned
-            // result still returns the guard, which we drop either way.
-            let _ = shared.cv.wait_timeout(guard, Duration::from_millis(50));
-        }
+        let task = {
+            let mut queue = lock_unpoisoned(&shared.queue);
+            loop {
+                if let Some(task) = queue.tasks.pop_front() {
+                    break task;
+                }
+                if queue.shutdown {
+                    return;
+                }
+                queue = shared
+                    .ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        run(task);
     }
 }
 
-/// A work-stealing thread pool.
+/// A thread pool with one shared task queue.
 ///
-/// A pool of `n` threads runs `n` dedicated workers (callers block — or,
-/// when the caller is itself a worker, help execute — while a job runs).
-/// A pool of one thread spawns nothing and executes every parallel
-/// operation inline on the caller, which is also the behavior under
-/// [`crate::run_sequential`] — the degenerate pool *is* the scalar path.
+/// A pool of `n` threads runs `n` dedicated workers; a caller blocks
+/// while its job runs. A parallel call made on a worker (from inside a
+/// task) runs inline, like one under [`crate::run_sequential`]. A pool of
+/// one thread spawns nothing and executes every parallel operation inline
+/// on the caller — the degenerate pool *is* the scalar path.
 ///
 /// Most code uses the process-global pool through the crate-level free
 /// functions; explicit pools exist so tests can pin a thread count
@@ -272,21 +199,18 @@ impl Pool {
         let threads = threads.max(1);
         let worker_count = if threads == 1 { 0 } else { threads };
         let shared = Arc::new(Shared {
-            deques: (0..worker_count)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            sleep: Mutex::new(0),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next_deque: AtomicUsize::new(0),
-            busy_ns: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
         });
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("deepn-par-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     // lint:allow(panic-policy): pool construction, not the
                     // request path — if the OS cannot spawn a thread at
                     // startup there is no pool to degrade to, and no work
@@ -306,132 +230,56 @@ impl Pool {
         self.threads
     }
 
-    /// Per-worker nanoseconds spent executing tasks. Advances only while
-    /// tracing is enabled (`deepn_trace::set_enabled(true)` or
-    /// `DEEPN_TRACE=1`); empty for a one-thread pool, which runs inline.
-    pub fn worker_busy_ns(&self) -> Vec<u64> {
-        self.shared
-            .busy_ns
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Whether a parallel call entering now would run inline: a one-thread
-    /// pool, or a [`crate::run_sequential`] section on this thread.
-    pub fn inline_now(&self) -> bool {
+    /// Whether a parallel call entering now runs inline: a one-thread
+    /// pool, or a [`crate::run_sequential`] section on this thread (which
+    /// every pool worker is in).
+    pub(crate) fn inline_now(&self) -> bool {
         self.threads == 1 || forced_sequential()
     }
 
-    /// `Some(index)` when the current thread is one of **this** pool's
-    /// workers.
-    fn current_worker_index(&self) -> Option<usize> {
-        CURRENT_WORKER.with(|w| match w.get() {
-            Some((pool, index)) if pool == Arc::as_ptr(&self.shared) as usize => Some(index),
-            _ => None,
-        })
-    }
-
-    /// Submits lifetime-erased tasks for `job` and wakes the workers.
-    pub(crate) fn submit(
-        &self,
-        job: &Arc<JobTracker>,
-        fns: Vec<Box<dyn FnOnce() + Send + 'static>>,
-    ) {
-        let n = self.shared.deques.len();
-        debug_assert!(n > 0, "submit on an inline pool");
-        if let Some(me) = self.current_worker_index() {
-            // A worker fans out onto its own deque; siblings steal the
-            // overflow from the front while the owner pops the back.
-            let mut deque = lock_unpoisoned(&self.shared.deques[me]);
-            for f in fns {
-                deque.push_back(Task {
-                    run: f,
-                    job: Arc::clone(job),
-                });
-            }
-            metrics().queue_high_water.set_max(deque.len() as u64);
-        } else {
-            let start = self.shared.next_deque.fetch_add(1, Ordering::Relaxed);
-            for (i, f) in fns.into_iter().enumerate() {
-                let mut deque = lock_unpoisoned(&self.shared.deques[(start + i) % n]);
-                deque.push_back(Task {
-                    run: f,
-                    job: Arc::clone(job),
-                });
-                metrics().queue_high_water.set_max(deque.len() as u64);
-            }
-        }
-        self.shared.wake_all();
-    }
-
-    /// Blocks until `job` completes. A worker waiting on a nested job
-    /// helps execute queued tasks instead of sleeping, so nested
-    /// parallelism cannot deadlock the pool.
-    pub(crate) fn wait(&self, job: &JobTracker) {
-        if let Some(me) = self.current_worker_index() {
-            // Help-first, then back off: once nothing is stealable the job
-            // is blocked on tasks already in flight elsewhere, and a hard
-            // yield loop would burn the core those tasks need.
-            let mut idle_spins = 0u32;
-            while !job.done() {
-                match self.shared.find_task(Some(me)) {
-                    Some(task) => {
-                        idle_spins = 0;
-                        self.shared.execute_timed(me, task);
-                    }
-                    None if idle_spins < 64 => {
-                        idle_spins += 1;
-                        thread::yield_now();
-                    }
-                    None => thread::sleep(Duration::from_micros(200)),
-                }
-            }
-            return;
-        }
-        while !job.done() {
-            let guard = lock_unpoisoned(&job.lock);
-            if job.done() {
-                break;
-            }
-            let _ = job.cv.wait_timeout(guard, Duration::from_millis(50));
-        }
-    }
-
     /// Runs a batch of closures to completion — inline (in order) on the
-    /// degenerate paths, otherwise distributed over the workers — and
-    /// rethrows the first panic after **all** of them finished (borrowed
-    /// data stays live for the full batch even when one task panics).
+    /// degenerate paths, otherwise on the workers — and rethrows the first
+    /// panic after **all** of them finished (borrowed data stays live for
+    /// the full batch even when one task panics).
     pub(crate) fn exec_batch<'env>(&self, fns: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if fns.is_empty() {
-            return;
-        }
-        if self.inline_now() || fns.len() == 1 {
+        if self.inline_now() || fns.len() <= 1 {
             for f in fns {
                 f();
             }
             return;
         }
-        let job = Arc::new(JobTracker::new(fns.len()));
-        // SAFETY: `exec_batch` does not return before `wait` observes every
-        // task completed (even on the panic path), so the `'env` borrows
-        // captured by the closures outlive every task execution.
-        let erased: Vec<Box<dyn FnOnce() + Send + 'static>> = fns
-            .into_iter()
-            .map(|f| unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(f)
-            })
-            .collect();
-        self.submit(&job, erased);
-        self.wait(&job);
-        job.propagate_panic();
+        let job = Arc::new(Job {
+            state: Mutex::new((fns.len(), None)),
+            done: Condvar::new(),
+        });
+        // Registered (and the queue grown) before the first push: nothing
+        // may unwind between queuing a borrowing task and waiting on it.
+        let metrics = metrics();
+        {
+            let mut queue = lock_unpoisoned(&self.shared.queue);
+            queue.tasks.reserve(fns.len());
+            for f in fns {
+                // SAFETY: `exec_batch` does not return before `job.wait`
+                // observes every task completed (even on the panic path),
+                // so the `'env` borrows captured by the closures outlive
+                // every task execution.
+                let run: Box<dyn FnOnce() + Send> = unsafe { std::mem::transmute(f) };
+                queue.tasks.push_back(Task {
+                    run,
+                    job: Arc::clone(&job),
+                });
+            }
+            metrics.queue_high_water.set_max(queue.tasks.len() as u64);
+        }
+        self.shared.ready.notify_all();
+        job.wait();
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake_all();
+        lock_unpoisoned(&self.shared.queue).shutdown = true;
+        self.shared.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -443,5 +291,34 @@ impl std::fmt::Debug for Pool {
         f.debug_struct("Pool")
             .field("threads", &self.threads)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_busy_time_advances_only_under_tracing() {
+        let pool = Pool::with_threads(2);
+        let spin = |_: usize, &x: &u64| {
+            let mut acc = x;
+            for i in 0..10_000u64 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+            }
+            acc
+        };
+        let items: Vec<u64> = (0..64).collect();
+        // Tracing disabled (the default): the busy total must not move.
+        // No other test in this crate enables tracing.
+        let start = metrics().busy_ns.get();
+        let before = pool.par_map_collect(&items, spin);
+        assert_eq!(metrics().busy_ns.get(), start);
+        deepn_trace::set_enabled(true);
+        let after = pool.par_map_collect(&items, spin);
+        deepn_trace::set_enabled(false);
+        assert!(metrics().busy_ns.get() > start);
+        // And instrumentation never changes results.
+        assert_eq!(before, after);
     }
 }

@@ -528,8 +528,9 @@ impl ReplySink {
 }
 
 /// A connection's in-flight window: the set of admitted tags. The reader
-/// blocks admission while the window is full; a reply's tag is released
-/// after the reply is written.
+/// blocks admission while the window is full. A reply's tag is released
+/// when the writer takes the reply up (tagged) or after the reply is
+/// written (v1, whose reader then owns the socket).
 struct TagWindow {
     tags: Mutex<std::collections::HashSet<u32>>,
     freed: Condvar,
@@ -537,9 +538,10 @@ struct TagWindow {
 
 enum Admit {
     /// Admitted; `sole` is true when the tag is the window's only
-    /// occupant, i.e. nothing else of this connection is in flight
-    /// anywhere (pool queue, worker, or reply queue, since all of those
-    /// hold their tag until written).
+    /// occupant, i.e. nothing else of this connection is in flight in
+    /// the pool queue, on a worker, or in the reply queue (all of those
+    /// hold their tag until the writer takes the reply up; a reply still
+    /// being written shows in [`ReplySink::writer_idle`]).
     Admitted { sole: bool },
     /// The tag is already in flight on this connection.
     Duplicate,
@@ -696,6 +698,13 @@ impl Writer {
         let mut dead = false;
         while let Ok(reply) = self.rx.recv() {
             self.pending.fetch_sub(1, Ordering::SeqCst);
+            // A tagged reply retires its tag before its bytes can reach
+            // the client, so the client may reuse the tag the moment it
+            // reads the reply. A request admitted meanwhile is not quiet
+            // (`written` still lags), so its reply queues behind this one.
+            if reply.release && reply.meta.tagged {
+                self.window.release(reply.meta.tag);
+            }
             dead = deliver_reply(
                 &mut self.stream,
                 &reply,
@@ -704,12 +713,12 @@ impl Writer {
                 self.conn_id,
                 self.slow,
             );
-            // Advanced before the release, so a reader that finds the
-            // window empty also finds the writer idle: once `written`
+            // Advanced before a v1 release, so a v1 reader that finds its
+            // window of 1 empty also finds the writer idle: once `written`
             // catches up with `enqueued`, this thread touches the socket
             // again only for a reply enqueued later.
             self.written.fetch_add(1, Ordering::SeqCst);
-            if reply.release {
+            if reply.release && !reply.meta.tagged {
                 self.window.release(reply.meta.tag);
             }
         }
@@ -1133,8 +1142,8 @@ impl ConnCtx {
 
     /// Submits one whole request to the bounded pool queue, retrying
     /// while the queue is full but never past the request's deadline.
-    /// Submission failures become typed replies on the writer; the tag
-    /// is released once that reply is written.
+    /// Submission failures become typed replies on the writer, which
+    /// releases the tag.
     fn submit(&self, conn: &mut Conn, work: WholeWork, meta: ReqMeta) {
         // The job's reply goes through the writer thread.
         conn.spawn_writer();

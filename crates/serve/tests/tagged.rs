@@ -11,7 +11,7 @@ use deepn_store::ByteWriter;
 use proptest::collection::vec as prop_vec;
 use proptest::{any, ProptestConfig, Strategy, TestRunner};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> deepn_serve::ServerHandle {
     Server::bind("127.0.0.1:0", QuantTablePair::standard(70), None, config)
@@ -31,6 +31,15 @@ fn hello(conn: &mut TcpStream) -> u32 {
     u32::from_le_bytes(reply[1..5].try_into().expect("granted bitmask"))
 }
 
+/// A raw connection with Nagle's algorithm off, as `Client::connect`
+/// sets it: a small frame written behind a large one must not wait for
+/// the peer's delayed ACK.
+fn connect_raw(handle: &deepn_serve::ServerHandle) -> TcpStream {
+    let conn = TcpStream::connect(handle.addr()).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    conn
+}
+
 fn send_tagged(conn: &mut TcpStream, tag: u32, inner: &[u8]) {
     protocol::write_frame(conn, &protocol::tagged_body(tag, inner)).expect("tagged frame");
 }
@@ -44,18 +53,35 @@ fn recv_tagged(conn: &mut TcpStream) -> (u32, u8, Vec<u8>) {
     (tag, rest[0], rest[1..].to_vec())
 }
 
-/// A heavy `EncodeBatch` request body — enough work to keep a worker
-/// busy for many milliseconds, so inline-answered frames sent after it
-/// deterministically reply first.
-fn heavy_encode_request(copies: usize) -> Vec<u8> {
+/// How long [`heavy_encode_request`] keeps the one worker busy: far
+/// longer than a follow-up frame takes to arrive, in either build profile.
+const HEAVY_BUSY: Duration = Duration::from_millis(50);
+
+/// A heavy `EncodeBatch` request body and its image count — enough work
+/// to keep a worker busy for at least [`HEAVY_BUSY`], so inline-answered
+/// frames sent after it deterministically reply first. The count comes
+/// from the fastest of several timed local encodes of the same image
+/// (other tests' load can only slow one down), since one encode takes
+/// about a hundred times longer in debug than in release.
+fn heavy_encode_request() -> (Vec<u8>, usize) {
     let img = RgbImage::gradient(128, 128);
+    let encoder = Encoder::with_tables(QuantTablePair::standard(70));
+    let fastest = (0..4)
+        .map(|_| {
+            let start = Instant::now();
+            encoder.encode(&img).expect("local encode");
+            start.elapsed()
+        })
+        .min()
+        .expect("four timings");
+    let copies = HEAVY_BUSY.as_nanos().div_ceil(fastest.as_nanos().max(1)) as usize;
     let mut w = ByteWriter::new();
     w.put_u8(Opcode::EncodeBatch as u8);
     w.put_len(copies);
     for _ in 0..copies {
         protocol::put_image(&mut w, &img);
     }
-    w.into_bytes()
+    (w.into_bytes(), copies)
 }
 
 #[test]
@@ -129,21 +155,22 @@ fn tagged_replies_arrive_out_of_order() {
         queue_depth: 8,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    let mut conn = connect_raw(&handle);
     assert_eq!(hello(&mut conn) & FEATURE_TAGGED, FEATURE_TAGGED);
 
     // A heavy encode (tag 7) followed by a ping (tag 9): the ping is
     // answered inline by the reader while the worker is still encoding,
     // so its reply must overtake the encode's.
-    send_tagged(&mut conn, 7, &heavy_encode_request(8));
+    let (heavy, copies) = heavy_encode_request();
+    send_tagged(&mut conn, 7, &heavy);
     send_tagged(&mut conn, 9, &[Opcode::Ping as u8]);
     let (tag, status, _) = recv_tagged(&mut conn);
     assert_eq!((tag, status), (9, STATUS_OK), "ping reply overtakes");
     let (tag, status, payload) = recv_tagged(&mut conn);
     assert_eq!((tag, status), (7, STATUS_OK));
     assert_eq!(
-        u32::from_le_bytes(payload[..4].try_into().expect("count")),
-        8,
+        u32::from_le_bytes(payload[..4].try_into().expect("count")) as usize,
+        copies,
         "encode reply carries all blobs"
     );
 
@@ -160,13 +187,14 @@ fn duplicate_in_flight_tag_is_rejected_without_killing_the_original() {
         queue_depth: 8,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    let mut conn = connect_raw(&handle);
     hello(&mut conn);
 
     // Tag 5 is busy encoding when a second request reuses it: the
     // duplicate gets a typed error (inline, so it replies first) and the
     // original still completes under the same tag.
-    send_tagged(&mut conn, 5, &heavy_encode_request(8));
+    let (heavy, _) = heavy_encode_request();
+    send_tagged(&mut conn, 5, &heavy);
     send_tagged(&mut conn, 5, &[Opcode::Ping as u8]);
     let (tag, status, payload) = recv_tagged(&mut conn);
     assert_eq!((tag, status), (5, STATUS_ERR));
@@ -180,6 +208,46 @@ fn duplicate_in_flight_tag_is_rejected_without_killing_the_original() {
     send_tagged(&mut conn, 5, &[Opcode::Ping as u8]);
     let (tag, status, _) = recv_tagged(&mut conn);
     assert_eq!((tag, status), (5, STATUS_OK));
+
+    send_tagged(&mut conn, 6, &[Opcode::Shutdown as u8]);
+    let (tag, status, _) = recv_tagged(&mut conn);
+    assert_eq!((tag, status), (6, STATUS_OK));
+    handle.join();
+}
+
+#[test]
+fn a_tag_is_reusable_as_soon_as_its_reply_is_read() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        queue_depth: 8,
+        ..ServerConfig::default()
+    });
+    let mut conn = connect_raw(&handle);
+    hello(&mut conn);
+
+    // Just too large to run inline on the reader, so each reply comes
+    // from the writer thread. Every request reuses tag 5 the moment the
+    // previous reply arrives: the writer must have retired the tag by
+    // then, or the reuse earns a spurious "already in flight" error. A
+    // retirement after the write lost that race within 200 rounds in
+    // each of 20 release runs; a release round costs about 0.1 ms.
+    let img = RgbImage::gradient(65, 64);
+    let mut w = ByteWriter::new();
+    w.put_u8(Opcode::EncodeBatch as u8);
+    w.put_len(1);
+    protocol::put_image(&mut w, &img);
+    let request = w.into_bytes();
+    let rounds = if cfg!(debug_assertions) { 200 } else { 2000 };
+    for round in 0..rounds {
+        send_tagged(&mut conn, 5, &request);
+        let (tag, status, payload) = recv_tagged(&mut conn);
+        assert_eq!(
+            (tag, status),
+            (5, STATUS_OK),
+            "round {round}: {}",
+            String::from_utf8_lossy(&payload)
+        );
+    }
 
     send_tagged(&mut conn, 6, &[Opcode::Shutdown as u8]);
     let (tag, status, _) = recv_tagged(&mut conn);

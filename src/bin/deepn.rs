@@ -833,8 +833,7 @@ fn print_profile_report() {
         _ => 0,
     };
     println!(
-        "pool: {} steals, queue high-water {}, workers busy {}",
-        counter("deepn_parallel_steals_total"),
+        "pool: queue high-water {}, workers busy {}",
         counter("deepn_parallel_queue_high_water"),
         human_seconds(counter("deepn_parallel_worker_busy_ns_total") as f64 / 1e9),
     );

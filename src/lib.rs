@@ -4,8 +4,9 @@
 //! Facade crate for the DAC 2018 paper reproduction. It re-exports the
 //! workspace crates so downstream users can depend on a single crate:
 //!
-//! - [`parallel`] — work-stealing data-parallel runtime driving every hot
-//!   path below (`DEEPN_THREADS` sizes it; see `docs/PARALLELISM.md`)
+//! - [`parallel`] — one-queue data-parallel runtime for the offline paths;
+//!   calls made on a pool worker run inline (`DEEPN_THREADS` sizes it; see
+//!   `docs/PARALLELISM.md`)
 //! - [`tensor`] — minimal NCHW `f32` tensor library
 //! - [`nn`] — from-scratch CNN framework and the Mini* model zoo
 //! - [`codec`] — baseline-sequential JPEG codec built from scratch
