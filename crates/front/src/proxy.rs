@@ -322,7 +322,7 @@ fn metrics_reply(state: &FrontState) -> Vec<u8> {
 /// Tagged connections carry the reply's tag and may reorder freely.
 fn send_intercepted(shared: &ConnShared, tagged: bool, tag: u32, reply: Vec<u8>) -> bool {
     if tagged {
-        return write_client(shared, &protocol::tagged_body(tag, &reply));
+        return protocol::write_tagged_frame(&mut *lock(&shared.client_out), tag, &reply).is_ok();
     }
     let mut pending = lock(&shared.pending);
     if pending.is_empty() {

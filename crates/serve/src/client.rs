@@ -10,7 +10,9 @@
 //! Three request shapes share the connection:
 //!
 //! - **Request/response** ([`Client::ping`], [`Client::encode_batch`],
-//!   ...): one frame out, one frame back.
+//!   ...): one frame out, one frame back. Each call is a [`Pipeline`]
+//!   with a window of 1, so framing, tag matching and reconnect+replay
+//!   exist once, for both shapes.
 //! - **Streamed exchanges** ([`Client::begin_compress_stream`],
 //!   [`Client::begin_decompress_stream`]): pixel strips travel as
 //!   individual frames so neither side materializes a whole image.
@@ -52,10 +54,9 @@ pub struct Client {
     /// requests across tags in pipelines (`parts − 1` per split batch);
     /// the reconciliation twin of [`Client::hellos_sent`].
     split_requests: u64,
-    /// Request bodies re-sent by the reconnect+replay machinery (one per
-    /// replayed frame, across the one-shot and pipeline paths). A front
-    /// end counts the replayed copy as a fresh request, so load
-    /// generators fold these into reconciliation like
+    /// Request bodies re-sent by the reconnect+replay machinery, one per
+    /// replayed frame. A front end counts the replayed copy as a fresh
+    /// request, so load generators fold these into reconciliation like
     /// [`Client::hellos_sent`].
     replays: u64,
     /// Table fingerprint advertised in `Hello` (0 = none): a sharded
@@ -176,10 +177,9 @@ impl Client {
     }
 
     /// Request bodies re-sent by reconnect+replay — one per replayed
-    /// frame across the one-shot and pipeline replay paths. A sharded
-    /// front end counts each replayed copy as a fresh forwarded request,
-    /// so load generators add these to the expected fleet-side request
-    /// count (see `docs/SHARDING.md`).
+    /// frame. A sharded front end counts each replayed copy as a fresh
+    /// forwarded request, so load generators add these to the expected
+    /// fleet-side request count (see `docs/SHARDING.md`).
     pub fn replays(&self) -> u64 {
         self.replays
     }
@@ -264,61 +264,13 @@ impl Client {
         }
     }
 
-    /// One request/reply exchange on the current connection; tears the
-    /// connection down on any transport failure so the next request starts
-    /// clean.
-    fn exchange(&mut self, body: &[u8]) -> Result<Vec<u8>, ServeError> {
-        let result = self.exchange_inner(body);
-        if result.is_err() {
-            self.stream = None;
-        }
-        result
-    }
-
-    fn exchange_inner(&mut self, body: &[u8]) -> Result<Vec<u8>, ServeError> {
-        self.ensure_connected().map(|_| ())?;
-        if self.tagged {
-            // One-shot call on a tagged connection: wrap the request in a
-            // tag and verify the echo. (A lone request cannot come back
-            // out of order, but the framing must still match the mode.)
-            let tag = self.take_tag();
-            let Some(stream) = self.stream.as_mut() else {
-                return Err(ServeError::Protocol("connection slot empty".into()));
-            };
-            protocol::write_tagged_frame(stream, tag, body)?;
-            let mut reply = protocol::read_frame(stream)?
-                .ok_or_else(|| ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))?;
-            let (echoed, _) = protocol::split_tagged(&reply)?;
-            if echoed != tag {
-                return Err(ServeError::Protocol(format!(
-                    "reply tag {echoed} does not match request tag {tag}"
-                )));
-            }
-            reply.drain(..4);
-            return Ok(reply);
-        }
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(ServeError::Protocol("connection slot empty".into()));
-        };
-        protocol::write_frame(stream, body)?;
-        protocol::read_frame(stream)?
-            .ok_or_else(|| ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))
-    }
-
-    /// One request/reply round trip with transparent one-shot reconnect;
-    /// returns the ok-payload.
+    /// One request/reply round trip: a pipeline with a window of 1,
+    /// whose one part is never split, so the framing, tag matching and
+    /// reconnect+replay are the pipeline's own. Returns the ok-payload.
     fn call(&mut self, op: Opcode, payload: &[u8]) -> Result<Vec<u8>, ServeError> {
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.push(op as u8);
-        body.extend_from_slice(payload);
-        let reply = match self.exchange(&body) {
-            Err(e) if Self::is_stale_connection(&e) => {
-                self.replays += 1;
-                self.exchange(&body)?
-            }
-            other => other?,
-        };
-        parse_reply(reply)
+        let mut pipe = self.pipeline(1);
+        pipe.submit(op, payload)?;
+        parse_reply(pipe.next_entry()?.into_reply()?)
     }
 
     /// Liveness probe.
@@ -484,15 +436,13 @@ impl Client {
     /// window blocks until the oldest reply is read back — backpressure,
     /// not unbounded buffering.
     pub fn pipeline(&mut self, window: usize) -> Pipeline<'_> {
-        // The pipeline's framing mode is fixed at open: tagged when the
-        // upgrade is requested (every part-send re-verifies the grant
-        // after a reconnect), v1 otherwise.
+        // Tagged when the upgrade is requested; the first part sent
+        // settles the framing on the connection's actual grant.
         let tagged = self.want_tagged;
         Pipeline {
             client: self,
             window: window.max(1),
             prefetched: VecDeque::new(),
-            ready: VecDeque::new(),
             replay_armed: true,
             tagged,
             entries: VecDeque::new(),
@@ -868,13 +818,8 @@ pub enum PipelineReply {
     /// Reply to [`Pipeline::submit_decode_batch`]: the decoded images, in
     /// order.
     Decoded(Vec<RgbImage>),
-    /// Reply to [`Pipeline::submit_classify`]: the predicted labels, in
-    /// order.
-    Labels(Vec<usize>),
     /// Reply to [`Pipeline::submit_stats`].
     Stats(StatsSnapshot),
-    /// Reply to [`Pipeline::submit_metrics`].
-    Metrics(String),
 }
 
 /// Parses a pipelined reply frame according to the op that requested it.
@@ -885,10 +830,8 @@ fn decode_pipeline_reply(op: Opcode, frame: Vec<u8>) -> Result<PipelineReply, Se
         Opcode::Ping => PipelineReply::Pong,
         Opcode::EncodeBatch => PipelineReply::Encoded(parse_blob_list(&mut r)?),
         Opcode::DecodeBatch => PipelineReply::Decoded(parse_image_list(&mut r)?),
-        Opcode::Classify => PipelineReply::Labels(parse_label_list(&mut r)?),
         Opcode::Stats => PipelineReply::Stats(parse_stats(&mut r)?),
-        Opcode::Metrics => PipelineReply::Metrics(r.string()?),
-        Opcode::Shutdown | Opcode::CompressStream | Opcode::DecompressStream | Opcode::Hello => {
+        _ => {
             return Err(ServeError::Protocol(format!(
                 "op {op:?} cannot be pipelined"
             )))
@@ -904,7 +847,7 @@ fn decode_pipeline_reply(op: Opcode, frame: Vec<u8>) -> Result<PipelineReply, Se
 /// requests are ever outstanding on the connection (backpressure against
 /// the *service*). Replies read ahead this way wait in a client-side
 /// buffer until [`recv`](Pipeline::recv) — a caller that submits many
-/// requests without receiving holds those parsed replies in memory, so
+/// requests without receiving holds those replies in memory, so
 /// interleave `recv`/[`try_ready`](Pipeline::try_ready) with submission
 /// when replies are large. `recv` returns replies strictly in submission
 /// order: on a v1 connection the service answers one connection's
@@ -925,8 +868,8 @@ fn decode_pipeline_reply(op: Opcode, frame: Vec<u8>) -> Result<PipelineReply, Se
 /// transport error ([`ServeError::Io`], [`ServeError::Protocol`]), is
 /// fatal to the whole pipeline: drop it and start a fresh one.
 ///
-/// Dropping a pipeline with requests still in flight tears the connection
-/// down so their unread replies cannot poison the client's next request.
+/// Dropping a pipeline with replies still in flight tears the connection
+/// down so they cannot poison the client's next request.
 #[derive(Debug)]
 pub struct Pipeline<'c> {
     client: &'c mut Client,
@@ -937,19 +880,17 @@ pub struct Pipeline<'c> {
     /// write-write deadlock with the server (which has no write timeout
     /// either).
     prefetched: VecDeque<Vec<u8>>,
-    /// Completed replies, in submission order, not yet returned by
-    /// [`recv`](Pipeline::recv).
-    ready: VecDeque<Result<PipelineReply, ServeError>>,
     /// One reconnect+replay is allowed per stall; re-armed every time a
     /// reply lands (progress), so a dead service cannot loop forever.
     replay_armed: bool,
     /// Tagged (protocol v2) mode: frames carry tags, the service may
     /// answer out of order, and large batches are split across tags.
-    /// Fixed at [`Client::pipeline`] time.
+    /// Whenever a part is sent with nothing outstanding, this follows
+    /// the connection's grant (see [`Pipeline::submit_part`]).
     tagged: bool,
     /// The submission-order queue. Each entry is one logical request,
-    /// possibly split into several parts; completed entries leave from
-    /// the front into `ready`.
+    /// possibly split into several parts; [`recv`](Pipeline::recv) takes
+    /// entries from the front once they are complete.
     entries: VecDeque<Entry>,
     /// Parts sent whose reply has not arrived — the quantity the window
     /// bounds.
@@ -979,6 +920,15 @@ impl Entry {
     fn is_complete(&self) -> bool {
         self.parts.len() == self.expected && self.parts.iter().all(|p| p.reply.is_some())
     }
+
+    /// The reply frame of a complete single-part entry.
+    fn into_reply(self) -> Result<Vec<u8>, ServeError> {
+        self.parts
+            .into_iter()
+            .next()
+            .and_then(|p| p.reply)
+            .ok_or_else(|| ServeError::Protocol("completed entry missing a part reply".into()))
+    }
 }
 
 /// One request frame: its tag (sent on the wire only in tagged mode),
@@ -1000,7 +950,7 @@ impl Pipeline<'_> {
     /// Requests whose reply has not been returned by
     /// [`recv`](Pipeline::recv) yet — drain with that many `recv` calls.
     pub fn pending(&self) -> usize {
-        self.entries.len() + self.ready.len()
+        self.entries.len()
     }
 
     /// Submits a liveness probe.
@@ -1073,16 +1023,6 @@ impl Pipeline<'_> {
         self.submit(Opcode::DecodeBatch, &blob_batch_payload(streams))
     }
 
-    /// Submits a batch classification; answered by
-    /// [`PipelineReply::Labels`].
-    ///
-    /// # Errors
-    ///
-    /// Fatal transport errors.
-    pub fn submit_classify(&mut self, images: &[RgbImage]) -> Result<(), ServeError> {
-        self.submit(Opcode::Classify, &image_batch_payload(images))
-    }
-
     /// Submits a counters request; answered by [`PipelineReply::Stats`].
     ///
     /// # Errors
@@ -1092,20 +1032,11 @@ impl Pipeline<'_> {
         self.submit(Opcode::Stats, &[])
     }
 
-    /// Submits a metrics request; answered by [`PipelineReply::Metrics`].
-    ///
-    /// # Errors
-    ///
-    /// Fatal transport errors.
-    pub fn submit_metrics(&mut self) -> Result<(), ServeError> {
-        self.submit(Opcode::Metrics, &[])
-    }
-
     /// Pops a reply that backpressure already read off the wire, without
     /// blocking. `None` when none is buffered — more replies may still be
     /// in flight; [`recv`](Pipeline::recv) waits for those.
     pub fn try_ready(&mut self) -> Option<Result<PipelineReply, ServeError>> {
-        self.ready.pop_front()
+        self.pop_complete().map(assemble_entry)
     }
 
     /// Returns the oldest outstanding reply, in submission order, reading
@@ -1118,17 +1049,33 @@ impl Pipeline<'_> {
     /// [`Timeout`](ServeError::Timeout) — the pipeline continues), or a
     /// fatal transport error (see the type docs).
     pub fn recv(&mut self) -> Result<PipelineReply, ServeError> {
-        // Each wait matches at least one reply frame to its part; the
-        // front entry has finitely many outstanding parts, so this
-        // terminates (or surfaces a transport error).
+        assemble_entry(self.next_entry()?)
+    }
+
+    /// Takes the oldest entry once it is complete, reading reply frames
+    /// off the wire until it is. Each wait matches at least one reply
+    /// frame to its part; the front entry has finitely many outstanding
+    /// parts, so this terminates (or surfaces a transport error).
+    fn next_entry(&mut self) -> Result<Entry, ServeError> {
         loop {
-            if let Some(reply) = self.ready.pop_front() {
-                return reply;
+            if let Some(entry) = self.pop_complete() {
+                return Ok(entry);
             }
             if self.entries.is_empty() {
                 return Err(ServeError::Protocol("no requests in flight".into()));
             }
             self.await_reply()?;
+        }
+    }
+
+    /// Takes the oldest entry if it is complete. Later entries may
+    /// already be complete; they wait, so replies leave strictly in
+    /// submission order.
+    fn pop_complete(&mut self) -> Option<Entry> {
+        if self.entries.front().is_some_and(Entry::is_complete) {
+            self.entries.pop_front()
+        } else {
+            None
         }
     }
 
@@ -1164,7 +1111,6 @@ impl Pipeline<'_> {
                 return Err(e);
             }
         }
-        self.finalize_ready();
         Ok(())
     }
 
@@ -1179,14 +1125,14 @@ impl Pipeline<'_> {
             // replies no longer line up with submission order.
             self.replay_unacked(ServeError::Protocol(CLOSED_BEFORE_REPLY.into()))?;
         }
-        // (Re)connect before framing, so the grant is known: a service
-        // that stopped granting tagged framing must fail the pipeline
-        // typed, not receive misframed bytes.
+        // (Re)connect before framing, so the grant is known. With nothing
+        // outstanding, the framing follows the connection's grant (a
+        // reconnect the service answers without it degrades to v1, as
+        // `upgrade_tagged` does); otherwise the connection is the one
+        // the outstanding parts went out on, already checked.
         self.client.ensure_connected().map(|_| ())?;
-        if self.tagged && !self.client.tagged {
-            return Err(ServeError::Protocol(
-                "service did not grant tagged framing; open an untagged pipeline".into(),
-            ));
+        if self.unacked == 0 {
+            self.tagged = self.client.tagged;
         }
         let tag = self.client.take_tag();
         let sent = Self::write_frame_draining(
@@ -1219,14 +1165,16 @@ impl Pipeline<'_> {
         self.drain_prefetched()
     }
 
-    /// The deadlock-free frame writer the pipeline uses: the socket is
+    /// The deadlock-free frame writer the pipeline uses. With nothing
+    /// `outstanding`, no reply can be in flight to deadlock with, so the
+    /// frame is one plain blocking write. Otherwise the socket is
     /// written in non-blocking chunks, and whenever the send buffer is
-    /// full while `outstanding` replies may be in flight, an available
-    /// reply frame is read into `prefetched` instead of blocking. Without
-    /// this, a window whose requests and replies both exceed the kernel
-    /// socket buffers would write-write deadlock with the server: the
-    /// server blocked writing an earlier reply nobody is reading, the
-    /// client blocked writing a request nobody is reading.
+    /// full, an available reply frame is read into `prefetched` instead
+    /// of blocking. Without this, a window whose requests and replies
+    /// both exceed the kernel socket buffers would write-write deadlock
+    /// with the server: the server blocked writing an earlier reply
+    /// nobody is reading, the client blocked writing a request nobody is
+    /// reading.
     fn write_frame_draining(
         client: &mut Client,
         prefetched: &mut VecDeque<Vec<u8>>,
@@ -1234,6 +1182,13 @@ impl Pipeline<'_> {
         tag: Option<u32>,
         body: &[u8],
     ) -> Result<(), ServeError> {
+        if outstanding == 0 {
+            let stream = client.ensure_connected()?;
+            return match tag {
+                Some(tag) => protocol::write_tagged_frame(stream, tag, body),
+                None => protocol::write_frame(stream, body),
+            };
+        }
         // A `Some` tag is framed in place (`u32 tag` prepended to the
         // body), sparing the caller an intermediate tagged-body copy.
         let tag_len = if tag.is_some() { 4 } else { 0 };
@@ -1315,9 +1270,9 @@ impl Pipeline<'_> {
     }
 
     /// Blocks for at least one reply frame (unless some are already
-    /// prefetched), matches every buffered frame to its part, and moves
-    /// completed front entries into the ready queue. A dead pooled
-    /// connection is reconnected and the unacknowledged window replayed.
+    /// prefetched) and matches every buffered frame to its part. A dead
+    /// pooled connection is reconnected and the unacknowledged window
+    /// replayed.
     fn await_reply(&mut self) -> Result<(), ServeError> {
         if self.prefetched.is_empty() && self.client.stream.is_none() {
             // A previous failure already tore the connection down (e.g.
@@ -1339,9 +1294,7 @@ impl Pipeline<'_> {
                 Err(e) => return Err(e),
             }
         }
-        self.drain_prefetched()?;
-        self.finalize_ready();
-        Ok(())
+        self.drain_prefetched()
     }
 
     /// Matches every prefetched reply frame to its part.
@@ -1393,18 +1346,6 @@ impl Pipeline<'_> {
                     None => "reply arrived with no request in flight".into(),
                 }))
             }
-        }
-    }
-
-    /// Delivers completed entries from the submission-order front into
-    /// the ready queue. Later entries may already be complete; they wait
-    /// so `recv` stays strictly in submission order.
-    fn finalize_ready(&mut self) {
-        while self.entries.front().is_some_and(Entry::is_complete) {
-            let Some(entry) = self.entries.pop_front() else {
-                return;
-            };
-            self.ready.push_back(assemble_entry(entry));
         }
     }
 
@@ -1461,13 +1402,8 @@ impl Pipeline<'_> {
 fn assemble_entry(entry: Entry) -> Result<PipelineReply, ServeError> {
     let missing = || ServeError::Protocol("completed entry missing a part reply".into());
     if entry.expected == 1 {
-        let frame = entry
-            .parts
-            .into_iter()
-            .next()
-            .and_then(|p| p.reply)
-            .ok_or_else(missing)?;
-        return decode_pipeline_reply(entry.op, frame);
+        let op = entry.op;
+        return decode_pipeline_reply(op, entry.into_reply()?);
     }
     match entry.op {
         Opcode::EncodeBatch => {
@@ -1496,7 +1432,7 @@ impl Drop for Pipeline<'_> {
     fn drop(&mut self) {
         // Unread replies of abandoned requests would be misread as the
         // next request's reply; a fresh connection cannot have any.
-        if !self.entries.is_empty() {
+        if self.unacked > 0 {
             self.client.stream = None;
         }
     }

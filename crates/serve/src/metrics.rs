@@ -59,8 +59,8 @@ pub(crate) struct ServeMetrics {
     registry: deepn_trace::Registry,
     counters: [Arc<Counter>; COUNTERS],
     active_connections: Arc<Gauge>,
-    /// High-water mark of completed-but-unwritten replies queued for any
-    /// one connection's writer thread (updated with `set_max`).
+    /// High-water mark of completed-but-unwritten pool replies queued for
+    /// any one connection's writer thread (updated with `set_max`).
     pub(crate) reply_buffer_high_water: Arc<Gauge>,
     /// Whole-request wall time, read-to-reply, per request.
     pub(crate) request_seconds: Arc<Histogram>,
@@ -70,7 +70,8 @@ pub(crate) struct ServeMetrics {
     pub(crate) execute_seconds: Arc<Histogram>,
     /// Time writing one reply frame to the socket.
     pub(crate) reply_write_seconds: Arc<Histogram>,
-    /// Time a completed reply waited for its write to start.
+    /// Time a completed reply waited for its write to start, the wait for
+    /// the connection's write lock included.
     pub(crate) reply_wait_seconds: Arc<Histogram>,
 }
 
@@ -146,11 +147,11 @@ impl ServeMetrics {
         );
         let reply_buffer_high_water = r.gauge(
             "deepn_serve_reply_buffer_high_water",
-            "High-water mark of completed replies queued for one connection's writer thread.",
+            "High-water mark of completed pool replies queued for one connection's writer thread.",
         );
         let reply_wait_seconds = r.histogram(
             "deepn_serve_reply_wait_seconds",
-            "Time a completed reply waited for its write to start (pooled replies wait for the connection's writer thread).",
+            "Time a completed reply waited for its write to start, including the wait for the connection's write lock (pooled replies also wait for the writer thread).",
         );
         ServeMetrics {
             registry: r,

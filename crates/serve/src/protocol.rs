@@ -14,8 +14,8 @@
 //! streams as `u32 len | bytes`.
 //!
 //! On a v1 connection replies come back in arrival order — the service
-//! admits one request at a time, and each waits for its predecessor's
-//! reply to be written — which is what lets [`crate::Pipeline`] keep a
+//! admits one request at a time, and each reply is written after its
+//! predecessor's — which is what lets [`crate::Pipeline`] keep a
 //! window of requests in flight without tagging frames. Once a `Hello`
 //! grants [`FEATURE_TAGGED`], every frame carries a tag and replies come
 //! back in completion order. The complete wire specification — every opcode, status byte,
@@ -26,7 +26,7 @@
 use crate::ServeError;
 use deepn_codec::RgbImage;
 use deepn_store::{ByteReader, ByteWriter};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Upper bound on a frame body, bounding a hostile or corrupt length
 /// prefix before any allocation (64 MiB fits thousands of the synthetic
@@ -103,45 +103,14 @@ impl Opcode {
 /// § Protocol v2.
 pub const FEATURE_TAGGED: u32 = 1;
 
-/// Prefixes a v1 request/reply body with its `u32 tag`, producing a
-/// tagged (protocol v2) frame body.
-pub fn tagged_body(tag: u32, inner: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + inner.len());
-    body.extend_from_slice(&tag.to_le_bytes());
-    body.extend_from_slice(inner);
-    body
-}
-
 /// Writes one tagged (protocol v2) frame — `u32 len | u32 tag | inner` —
-/// without materializing the tagged body. Small frames coalesce header
-/// and body into a single stack-buffered write, so the per-frame cost of
-/// tagged framing stays below v1's two-write path instead of adding an
-/// allocation on top of it.
+/// without materializing the tagged body.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; rejects oversized bodies.
 pub fn write_tagged_frame(w: &mut impl Write, tag: u32, inner: &[u8]) -> Result<(), ServeError> {
-    let body_len = inner.len() + 4;
-    if body_len > MAX_FRAME {
-        return Err(ServeError::Protocol(format!(
-            "frame of {body_len} bytes exceeds the {MAX_FRAME} byte limit"
-        )));
-    }
-    let mut hdr = [0u8; 8];
-    hdr[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    hdr[4..].copy_from_slice(&tag.to_le_bytes());
-    if inner.len() <= 120 {
-        let mut buf = [0u8; 128];
-        buf[..8].copy_from_slice(&hdr);
-        buf[8..8 + inner.len()].copy_from_slice(inner);
-        w.write_all(&buf[..8 + inner.len()])?;
-    } else {
-        w.write_all(&hdr)?;
-        w.write_all(inner)?;
-    }
-    w.flush()?;
-    Ok(())
+    write_frame_parts(w, &tag.to_le_bytes(), inner)
 }
 
 /// Splits a tagged (protocol v2) frame body into its `u32 tag` and the
@@ -179,15 +148,31 @@ pub const STATUS_TIMEOUT: u8 = 3;
 ///
 /// Propagates I/O errors; rejects oversized bodies.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ServeError> {
-    if body.len() > MAX_FRAME {
+    write_frame_parts(w, &[], body)
+}
+
+/// The one frame writer: the length prefix, the tag (empty under v1
+/// framing) and the body go out as one vectored write, so a frame costs
+/// one system call when the socket takes it whole. A short write resumes
+/// where it stopped, so the whole frame is always delivered.
+fn write_frame_parts(w: &mut impl Write, tag: &[u8], body: &[u8]) -> Result<(), ServeError> {
+    let len = tag.len() + body.len();
+    if len > MAX_FRAME {
         return Err(ServeError::Protocol(format!(
-            "frame of {} bytes exceeds the {} byte limit",
-            body.len(),
-            MAX_FRAME
+            "frame of {len} bytes exceeds the {MAX_FRAME} byte limit"
         )));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let prefix = (len as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(tag), IoSlice::new(body)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(ServeError::Io(ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -198,10 +183,7 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ServeError> {
 /// would reinterpret mid-body bytes as a new frame length.
 fn read_exact_mid_frame(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ServeError> {
     r.read_exact(buf).map_err(|e| {
-        if matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ) {
+        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
             ServeError::Protocol("peer stalled mid-frame; connection desynchronized".into())
         } else {
             ServeError::Io(e)
@@ -296,17 +278,88 @@ mod tests {
 
     #[test]
     fn tagged_bodies_round_trip_and_reject_runts() {
-        let body = tagged_body(0xDEAD_BEEF, &[7, 8, 9]);
+        let mut wire = Vec::new();
+        write_tagged_frame(&mut wire, 0xDEAD_BEEF, &[7, 8, 9]).expect("write");
+        // An empty v1 rest is legal (Ping carries no payload) ...
+        write_tagged_frame(&mut wire, 1, &[]).expect("write");
+        let mut cursor = std::io::Cursor::new(wire);
+        let body = read_frame(&mut cursor).expect("read").expect("frame");
         let (tag, rest) = split_tagged(&body).expect("split");
         assert_eq!(tag, 0xDEAD_BEEF);
         assert_eq!(rest, &[7, 8, 9]);
-        // An empty v1 rest is legal (Ping carries no payload) ...
-        assert!(split_tagged(&tagged_body(1, &[])).is_ok());
+        let body = read_frame(&mut cursor).expect("read").expect("frame");
+        assert_eq!(split_tagged(&body).expect("split"), (1, &[][..]));
         // ... but a body shorter than the tag itself is not.
         assert!(matches!(
             split_tagged(&[1, 2, 3]),
             Err(ServeError::Protocol(_))
         ));
+    }
+
+    /// A writer that takes at most `max` bytes per call, counting calls.
+    struct Trickle {
+        wire: Vec<u8>,
+        max: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let start = self.wire.len();
+            for buf in bufs {
+                let n = buf.len().min(self.max - (self.wire.len() - start));
+                self.wire.extend_from_slice(&buf[..n]);
+            }
+            Ok(self.wire.len() - start)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write_and_survives_short_writes() {
+        let bodies: Vec<Vec<u8>> = [0usize, 1, 7, 121, 300]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 31 + n) as u8).collect())
+            .collect();
+        for max in [usize::MAX, 1, 3, 5, 100] {
+            let mut w = Trickle {
+                wire: Vec::new(),
+                max,
+                calls: 0,
+            };
+            for (i, body) in bodies.iter().enumerate() {
+                let calls = w.calls;
+                write_frame(&mut w, body).expect("v1 frame");
+                if max == usize::MAX {
+                    assert_eq!(w.calls - calls, 1, "v1 frame of {} bytes", body.len());
+                }
+                let calls = w.calls;
+                write_tagged_frame(&mut w, i as u32, body).expect("tagged frame");
+                if max == usize::MAX {
+                    assert_eq!(w.calls - calls, 1, "tagged frame of {} bytes", body.len());
+                }
+            }
+            let mut cursor = std::io::Cursor::new(w.wire);
+            for (i, body) in bodies.iter().enumerate() {
+                let v1 = read_frame(&mut cursor).expect("read").expect("v1 frame");
+                assert_eq!(&v1, body, "{max} bytes per call");
+                let tagged = read_frame(&mut cursor).expect("read").expect("tagged");
+                assert_eq!(
+                    split_tagged(&tagged).expect("split"),
+                    (i as u32, &body[..]),
+                    "{max} bytes per call"
+                );
+            }
+            assert_eq!(read_frame(&mut cursor).expect("eof"), None);
+        }
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! The service: acceptor + per-connection readers + a bounded job queue
 //! drained by a fixed worker pool.
+//!
+//! Each connection has one write path ([`ConnOut`]): its reader writes
+//! the replies it produces itself, its writer thread writes pool replies,
+//! and both write under one lock. The writer of a reply releases the
+//! reply's tag under that lock just before writing, so v1 arrival order
+//! and immediate tag reuse hold by construction, in both framings.
 
 use crate::metrics::{Ctr, ServeMetrics};
 use crate::protocol::{self, Opcode, STATUS_BUSY, STATUS_ERR, STATUS_OK, STATUS_TIMEOUT};
@@ -16,7 +22,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -137,10 +143,11 @@ enum WholeWork {
 }
 
 /// Requests at or under this cost (pixels for encode, compressed bytes
-/// for decode) may run inline on a quiet connection's reader instead of
-/// the pool: small enough that holding the reader off the socket costs
-/// less than two thread hand-offs, while anything larger keeps the
-/// window's out-of-order concurrency.
+/// for decode) may run inline on the connection's reader when nothing
+/// else of the connection is in flight, instead of on the pool: small
+/// enough that holding the reader off the socket costs less than two
+/// thread hand-offs, while anything larger keeps the window's
+/// out-of-order concurrency.
 const INLINE_WORK_BUDGET: usize = 4096;
 
 impl WholeWork {
@@ -449,13 +456,13 @@ impl ReqMeta {
 /// write.
 struct Reply {
     meta: ReqMeta,
-    /// `status | payload` — the writer prefixes the tag on the wire.
+    /// `status | payload`; a tagged reply gets its tag prefixed on the wire.
     body: Vec<u8>,
     /// Whether writing this reply retires its tag from the in-flight
     /// window. `false` for duplicate-tag error replies, whose tag still
     /// belongs to the original in-flight request.
     release: bool,
-    /// Completion timestamp (start of the reply-buffer wait).
+    /// Completion timestamp (start of the wait for the write).
     done_ns: u64,
     status: &'static str,
 }
@@ -486,22 +493,15 @@ impl Reply {
     }
 }
 
-/// The producer half of a connection's reply queue. Unbounded so pool
-/// workers never block on one connection's slow writer; occupancy is
-/// bounded anyway because the reader admits at most a window of
+/// The producer half of a connection's pool-reply queue. Unbounded so
+/// pool workers never block on one connection's slow reader; occupancy
+/// is bounded anyway because the reader admits at most a window of
 /// requests into flight.
 #[derive(Clone)]
 struct ReplySink {
     tx: mpsc::Sender<Reply>,
-    /// Completed-but-unwritten replies queued for the writer.
+    /// Pool replies queued for the writer thread, not yet taken up.
     pending: Arc<AtomicUsize>,
-    /// Replies ever handed to the writer; paired with
-    /// [`ReplySink::written`] to detect a fully idle writer (see the
-    /// quiet-connection path in [`ConnCtx::serve`]).
-    enqueued: Arc<AtomicUsize>,
-    /// Replies the writer has fully delivered (socket write and metrics
-    /// done).
-    written: Arc<AtomicUsize>,
     metrics: Arc<ServeMetrics>,
 }
 
@@ -511,26 +511,15 @@ impl ReplySink {
         self.metrics
             .reply_buffer_high_water
             .set_max(occupancy as u64);
-        self.enqueued.fetch_add(1, Ordering::SeqCst);
         // A dropped receiver means the connection died; nothing to do.
         let _ = self.tx.send(reply);
-    }
-
-    /// True when every reply ever enqueued has been fully delivered —
-    /// the writer thread owns no socket write. Only the reader enqueues
-    /// new cheap replies, and workers can only enqueue while their tag
-    /// is in the window, so the caller can combine this with a window
-    /// check to claim the socket briefly.
-    fn writer_idle(&self) -> bool {
-        let enqueued = self.enqueued.load(Ordering::SeqCst);
-        self.written.load(Ordering::SeqCst) >= enqueued
     }
 }
 
 /// A connection's in-flight window: the set of admitted tags. The reader
 /// blocks admission while the window is full. A reply's tag is released
-/// when the writer takes the reply up (tagged) or after the reply is
-/// written (v1, whose reader then owns the socket).
+/// under the write lock, just before the reply is written
+/// ([`ConnOut::deliver`]).
 struct TagWindow {
     tags: Mutex<std::collections::HashSet<u32>>,
     freed: Condvar,
@@ -540,8 +529,7 @@ enum Admit {
     /// Admitted; `sole` is true when the tag is the window's only
     /// occupant, i.e. nothing else of this connection is in flight in
     /// the pool queue, on a worker, or in the reply queue (all of those
-    /// hold their tag until the writer takes the reply up; a reply still
-    /// being written shows in [`ReplySink::writer_idle`]).
+    /// hold their tag until their reply is about to be written).
     Admitted { sole: bool },
     /// The tag is already in flight on this connection.
     Duplicate,
@@ -614,143 +602,142 @@ fn write_frame_timed(
     result.is_ok()
 }
 
-/// Delivers one completed reply and closes out its request: records how
-/// long the reply waited, writes it unless the peer is already `dead`,
-/// then records the request histogram and span and emits the structured
-/// `request` / `request_timeout` / `request_error` / `slow_request`
-/// events. Shared by the writer thread and the reader's quiet path, so
-/// every request — streamed ones included — is closed out by this one
-/// function. Returns whether the peer is gone.
-fn deliver_reply(
-    stream: &mut TcpStream,
-    reply: &Reply,
+/// The socket's write half, owned by whoever holds [`ConnOut`]'s lock.
+struct WriteHalf {
+    stream: TcpStream,
+    /// Set by the first failed write: the peer is gone, and a later
+    /// reply must not splice its bytes behind a partial frame. Replies
+    /// are still closed out (tags released, requests logged).
     dead: bool,
-    metrics: &ServeMetrics,
-    conn_id: u64,
-    slow: Option<Duration>,
-) -> bool {
-    let wait_end = deepn_trace::tick();
-    metrics
-        .reply_wait_seconds
-        .record_ns(wait_end.saturating_sub(reply.done_ns));
-    deepn_trace::record_span("serve.reply_wait", reply.done_ns, wait_end);
-    let meta = &reply.meta;
-    let dead = dead || !write_frame_timed(stream, meta.wire_tag(), &reply.body, metrics);
-    let end = deepn_trace::tick();
-    let dur_ns = end.saturating_sub(meta.start_ns);
-    metrics.request_seconds.record_ns(dur_ns);
-    deepn_trace::record_span(meta.span, meta.start_ns, end);
-    let op = meta
-        .span
-        .strip_prefix("serve.request.")
-        .unwrap_or(meta.span);
-    let ms = format!("{:.3}", dur_ns as f64 / 1e6);
-    // The correlation fields every per-request event leads with; `tag`
-    // only where the client chose one.
-    let event = |ev: log::Event| {
-        let ev = ev.field("conn_id", conn_id).field("req_id", meta.req_id);
-        let ev = match meta.wire_tag() {
-            Some(tag) => ev.field("tag", tag),
-            None => ev,
-        };
-        ev.field("op", op)
-    };
-    event(log::trace("request"))
-        .field("status", reply.status)
-        .field("ms", &ms)
-        .emit();
-    match reply.status {
-        "timeout" => event(log::warn("request_timeout")).field("ms", &ms).emit(),
-        "error" => event(log::warn("request_error")).field("ms", &ms).emit(),
-        _ => {}
-    }
-    if let Some(t) = slow {
-        if dur_ns >= t.as_nanos() as u64 {
-            event(log::warn("slow_request"))
-                .field("ms", &ms)
-                .field("threshold_ms", format!("{:.3}", t.as_nanos() as f64 / 1e6))
-                .emit();
-        }
-    }
-    dead
 }
 
-/// The writer half of a connection: drains the reply queue onto the
-/// socket in completion order and releases each reply's tag from the
-/// window. Exits once every [`ReplySink`] clone (reader + queued jobs)
-/// is gone.
-struct Writer {
-    stream: TcpStream,
-    rx: Receiver<Reply>,
-    window: Arc<TagWindow>,
-    pending: Arc<AtomicUsize>,
-    written: Arc<AtomicUsize>,
+/// A connection's one write path, shared by its reader and its writer
+/// thread: the socket's write half behind one lock, and the in-flight
+/// window whose tags the replies retire. Whoever writes a reply takes
+/// the lock, releases the reply's tag, then writes, so a v1 reader that
+/// admits its next request can write that request's reply only after
+/// the previous one — v1 replies leave in arrival order, and a tagged
+/// client may reuse a tag the moment its reply arrives.
+struct ConnOut {
+    half: Mutex<WriteHalf>,
+    window: TagWindow,
     metrics: Arc<ServeMetrics>,
     conn_id: u64,
     slow: Option<Duration>,
 }
 
-impl Writer {
-    fn run(mut self) {
-        // After a write failure the peer is gone; later replies are
-        // drained (requests closed out, tags released) without touching
-        // the socket.
-        let mut dead = false;
-        while let Ok(reply) = self.rx.recv() {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            // A tagged reply retires its tag before its bytes can reach
-            // the client, so the client may reuse the tag the moment it
-            // reads the reply. A request admitted meanwhile is not quiet
-            // (`written` still lags), so its reply queues behind this one.
-            if reply.release && reply.meta.tagged {
-                self.window.release(reply.meta.tag);
-            }
-            dead = deliver_reply(
-                &mut self.stream,
-                &reply,
-                dead,
+impl ConnOut {
+    /// Takes the write lock. A thread that panicked while holding it may
+    /// have left a partial frame on the socket, so a poisoned lock marks
+    /// the peer gone.
+    fn lock(&self) -> MutexGuard<'_, WriteHalf> {
+        self.half.lock().unwrap_or_else(|poisoned| {
+            let mut half = poisoned.into_inner();
+            half.dead = true;
+            half
+        })
+    }
+
+    /// Delivers one reply and closes out its request — the only place a
+    /// tag leaves the window. Under the write lock: releases the reply's
+    /// tag, records how long the reply waited (lock wait included),
+    /// writes it unless the peer is already gone, then records the
+    /// request histogram and span and emits the structured `request` /
+    /// `request_timeout` / `request_error` / `slow_request` events.
+    fn deliver(&self, reply: &Reply) {
+        let mut half = self.lock();
+        if reply.release {
+            self.window.release(reply.meta.tag);
+        }
+        let wait_end = deepn_trace::tick();
+        self.metrics
+            .reply_wait_seconds
+            .record_ns(wait_end.saturating_sub(reply.done_ns));
+        deepn_trace::record_span("serve.reply_wait", reply.done_ns, wait_end);
+        let meta = &reply.meta;
+        half.dead = half.dead
+            || !write_frame_timed(
+                &mut half.stream,
+                meta.wire_tag(),
+                &reply.body,
                 &self.metrics,
-                self.conn_id,
-                self.slow,
             );
-            // Advanced before a v1 release, so a v1 reader that finds its
-            // window of 1 empty also finds the writer idle: once `written`
-            // catches up with `enqueued`, this thread touches the socket
-            // again only for a reply enqueued later.
-            self.written.fetch_add(1, Ordering::SeqCst);
-            if reply.release && !reply.meta.tagged {
-                self.window.release(reply.meta.tag);
+        drop(half);
+        let end = deepn_trace::tick();
+        let dur_ns = end.saturating_sub(meta.start_ns);
+        self.metrics.request_seconds.record_ns(dur_ns);
+        deepn_trace::record_span(meta.span, meta.start_ns, end);
+        let op = meta
+            .span
+            .strip_prefix("serve.request.")
+            .unwrap_or(meta.span);
+        let ms = format!("{:.3}", dur_ns as f64 / 1e6);
+        // The correlation fields every per-request event leads with; `tag`
+        // only where the client chose one.
+        let event = |ev: log::Event| {
+            let ev = ev
+                .field("conn_id", self.conn_id)
+                .field("req_id", meta.req_id);
+            let ev = match meta.wire_tag() {
+                Some(tag) => ev.field("tag", tag),
+                None => ev,
+            };
+            ev.field("op", op)
+        };
+        event(log::trace("request"))
+            .field("status", reply.status)
+            .field("ms", &ms)
+            .emit();
+        match reply.status {
+            "timeout" => event(log::warn("request_timeout")).field("ms", &ms).emit(),
+            "error" => event(log::warn("request_error")).field("ms", &ms).emit(),
+            _ => {}
+        }
+        if let Some(t) = self.slow {
+            if dur_ns >= t.as_nanos() as u64 {
+                event(log::warn("slow_request"))
+                    .field("ms", &ms)
+                    .field("threshold_ms", format!("{:.3}", t.as_nanos() as f64 / 1e6))
+                    .emit();
             }
         }
     }
 }
 
-/// The reader's side of one connection: its socket, its in-flight
-/// window, and the reply queue it shares with pool jobs.
+/// The writer thread of a connection: delivers pool replies in completion
+/// order. Exits once every [`ReplySink`] clone (reader + queued jobs) is
+/// gone.
+struct Writer {
+    rx: Receiver<Reply>,
+    out: Arc<ConnOut>,
+    pending: Arc<AtomicUsize>,
+}
+
+impl Writer {
+    fn run(self) {
+        while let Ok(reply) = self.rx.recv() {
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+            self.out.deliver(&reply);
+        }
+    }
+}
+
+/// The reader's side of one connection: its socket's read half, the
+/// shared write path, and the reply queue it shares with pool jobs.
 struct Conn {
     stream: TcpStream,
-    window: Arc<TagWindow>,
+    out: Arc<ConnOut>,
     replies: ReplySink,
-    /// The connection's writer thread, until first use spawns it: a
-    /// serial client whose every request takes the quiet path never pays
-    /// the thread spawn at all — which matters under connection churn,
-    /// where the spawn would otherwise tax every reconnect.
+    /// The connection's writer thread, until the first pool job spawns
+    /// it: a serial client whose every request runs on the reader never
+    /// pays the thread spawn at all — which matters under connection
+    /// churn, where the spawn would otherwise tax every reconnect.
     writer: Option<Writer>,
-    conn_id: u64,
-    slow: Option<Duration>,
 }
 
 impl Conn {
-    /// Hands a reply to the writer thread, spawning it first if this is
-    /// the connection's first queued reply.
-    fn queue(&mut self, reply: Reply) {
-        self.spawn_writer();
-        self.replies.send(reply);
-    }
-
     /// Spawns the writer thread if it is not running yet. Must run
-    /// before anything (a reply or a pool job holding the sink) can
-    /// reach the queue.
+    /// before a pool job holding the sink can reach the queue.
     fn spawn_writer(&mut self) {
         // Detached on purpose: queued jobs hold `ReplySink` clones, so
         // the writer outlives the reader exactly until the last
@@ -760,28 +747,10 @@ impl Conn {
         }
     }
 
-    /// Delivers a reply the reader produced itself. On a quiet
-    /// connection — the request is the window's only occupant and the
-    /// writer has drained — no other reply can exist or appear (workers
-    /// need an admitted tag, and only the reader admits), so the reader
-    /// writes the reply itself: byte-identical, but without the
-    /// writer-thread hand-off that costs two context switches per
-    /// request. Otherwise the reply queues for the writer.
-    fn answer(&mut self, quiet: bool, reply: Reply) {
-        if !quiet {
-            self.queue(reply);
-            return;
-        }
-        // A failed write surfaces on the next read as EOF/error.
-        deliver_reply(
-            &mut self.stream,
-            &reply,
-            false,
-            &self.replies.metrics,
-            self.conn_id,
-            self.slow,
-        );
-        self.window.release(reply.meta.tag);
+    /// Writes a reply the reader produced itself. A failed write
+    /// surfaces on the next read as EOF/error.
+    fn answer(&self, reply: Reply) {
+        self.out.deliver(&reply);
     }
 }
 
@@ -798,15 +767,17 @@ fn parse_op(request: &[u8]) -> Result<(Opcode, &[u8]), ServeError> {
 impl ConnCtx {
     /// Serves one connection. Every request, v1 or tagged, takes the
     /// same path: the reader admits it into the connection's
-    /// [`TagWindow`], then answers it itself (cheap ops, small work on a
-    /// quiet connection, typed rejections, and the v1-only ops) or
-    /// submits it whole to the worker pool, whose reply a per-connection
-    /// writer thread delivers. Until a `Hello` grants tagged framing the
-    /// reader numbers requests itself and the window holds one request,
-    /// so each request waits for its predecessor's reply to be written
-    /// and v1 replies leave in arrival order; after the grant, frames
-    /// carry client-chosen tags and up to [`TAGGED_WINDOW`] requests
-    /// execute at once, answered in completion order.
+    /// [`TagWindow`], then answers it itself (cheap ops, small work when
+    /// it is the window's only request, typed rejections, and the v1-only
+    /// ops) or submits it whole to the worker pool, whose reply a
+    /// per-connection writer thread delivers. Both write under one lock
+    /// ([`ConnOut`]). Until a `Hello` grants tagged framing the reader
+    /// numbers requests itself and the window holds one request, so each
+    /// request waits for its predecessor's tag, which leaves the window
+    /// under the write lock just before its reply is written: v1 replies
+    /// leave in arrival order. After the grant, frames carry
+    /// client-chosen tags and up to [`TAGGED_WINDOW`] requests execute at
+    /// once, answered in completion order.
     fn serve(self, mut stream: TcpStream, guard: ConnGuard) {
         let _ = stream.set_nodelay(true);
         if self.limited {
@@ -885,32 +856,32 @@ impl ConnCtx {
                 return;
             }
         };
+        let out = Arc::new(ConnOut {
+            half: Mutex::new(WriteHalf {
+                stream: write_stream,
+                dead: false,
+            }),
+            window: TagWindow::new(),
+            metrics: Arc::clone(&self.counters),
+            conn_id: self.conn_id,
+            slow: self.config.slow_threshold,
+        });
         let (reply_tx, reply_rx) = mpsc::channel();
-        let window = Arc::new(TagWindow::new());
         let replies = ReplySink {
             tx: reply_tx,
             pending: Arc::new(AtomicUsize::new(0)),
-            enqueued: Arc::new(AtomicUsize::new(0)),
-            written: Arc::new(AtomicUsize::new(0)),
             metrics: Arc::clone(&self.counters),
         };
         let writer = Writer {
-            stream: write_stream,
             rx: reply_rx,
-            window: Arc::clone(&window),
+            out: Arc::clone(&out),
             pending: Arc::clone(&replies.pending),
-            written: Arc::clone(&replies.written),
-            metrics: Arc::clone(&self.counters),
-            conn_id: self.conn_id,
-            slow: self.config.slow_threshold,
         };
         let mut conn = Conn {
             stream,
-            window,
+            out,
             replies,
             writer: Some(writer),
-            conn_id: self.conn_id,
-            slow: self.config.slow_threshold,
         };
         // Codec state for the reader's own work, mirroring the pool
         // workers' setup so inline replies are byte-identical. Streamed
@@ -965,7 +936,7 @@ impl ConnCtx {
                 span: opcode_span_name(request.first().copied()),
                 start_ns,
             };
-            let quiet = match conn.window.admit(tag, limit, &self.shutdown) {
+            let sole = match conn.out.window.admit(tag, limit, &self.shutdown) {
                 Admit::Shutdown => return,
                 Admit::Duplicate => {
                     // Not admitted, so `release: false`: the tag still
@@ -975,36 +946,32 @@ impl ConnCtx {
                     let e = ServeError::Protocol(format!(
                         "tag {tag} is already in flight on this connection"
                     ));
-                    conn.queue(Reply {
+                    conn.answer(Reply {
                         release: false,
                         ..Reply::new(meta, Err(e))
                     });
                     continue;
                 }
-                // In a window of 1 this always holds: the predecessor's
-                // tag is released only after its reply was written, so
-                // the reader owns the socket — which the v1-only ops
-                // below rely on.
-                Admit::Admitted { sole } => sole && conn.replies.writer_idle(),
+                Admit::Admitted { sole } => sole,
             };
             let (op, payload) = match parse_op(request) {
                 Ok(parsed) => parsed,
                 Err(e) => {
-                    conn.answer(quiet, Reply::new(meta, Err(e)));
+                    conn.answer(Reply::new(meta, Err(e)));
                     continue;
                 }
             };
             match op {
-                Opcode::Ping => conn.answer(quiet, Reply::new(meta, Ok(Vec::new()))),
-                Opcode::Stats => conn.answer(quiet, Reply::new(meta, Ok(self.stats_payload()))),
+                Opcode::Ping => conn.answer(Reply::new(meta, Ok(Vec::new()))),
+                Opcode::Stats => conn.answer(Reply::new(meta, Ok(self.stats_payload()))),
                 Opcode::Metrics => {
                     let mut w = ByteWriter::new();
                     let active = self.active.load(Ordering::SeqCst) as u64;
                     w.put_string(&self.counters.render(active));
-                    conn.answer(quiet, Reply::new(meta, Ok(w.into_bytes())));
+                    conn.answer(Reply::new(meta, Ok(w.into_bytes())));
                 }
                 Opcode::Shutdown => {
-                    conn.answer(quiet, Reply::new(meta, Ok(Vec::new())));
+                    conn.answer(Reply::new(meta, Ok(Vec::new())));
                     self.shutdown.store(true, Ordering::SeqCst);
                     return;
                 }
@@ -1015,7 +982,7 @@ impl ConnCtx {
                     // and the window is empty once it is written.
                     let requested = ByteReader::new(payload).u32().unwrap_or(0);
                     let granted = requested & protocol::FEATURE_TAGGED;
-                    conn.answer(quiet, Reply::new(meta, Ok(granted.to_le_bytes().to_vec())));
+                    conn.answer(Reply::new(meta, Ok(granted.to_le_bytes().to_vec())));
                     if granted != 0 {
                         tagged = true;
                         self.counters.inc(Ctr::TaggedConnections);
@@ -1034,7 +1001,7 @@ impl ConnCtx {
                         &mut strip,
                     );
                     let failed = outcome.is_err();
-                    conn.answer(quiet, Reply::new(meta, outcome));
+                    conn.answer(Reply::new(meta, outcome));
                     // After a mid-stream failure the frame boundary with
                     // the peer is unknown: the typed frame went out, now
                     // close.
@@ -1043,15 +1010,17 @@ impl ConnCtx {
                     }
                 }
                 Opcode::DecompressStream if !tagged => {
+                    // The request holds the window's only tag, so no pool
+                    // reply can wait for the lock while the strips go out.
                     let outcome = self.decompress_stream(
-                        &mut conn.stream,
+                        &mut conn.out.lock().stream,
                         payload,
                         &codec.decoder,
                         &mut codec.dec_ws,
                         &mut strip,
                     );
                     let peer_gone = matches!(outcome, Err(ServeError::Io(_)));
-                    conn.answer(quiet, Reply::new(meta, outcome));
+                    conn.answer(Reply::new(meta, outcome));
                     if peer_gone {
                         return;
                     }
@@ -1062,7 +1031,7 @@ impl ConnCtx {
                     let e = ServeError::Protocol(
                         "tagged framing is already negotiated on this connection".into(),
                     );
-                    conn.answer(quiet, Reply::new(meta, Err(e)));
+                    conn.answer(Reply::new(meta, Err(e)));
                 }
                 Opcode::CompressStream | Opcode::DecompressStream => {
                     let e = ServeError::Protocol(
@@ -1070,17 +1039,17 @@ impl ConnCtx {
                          open an untagged (v1) connection"
                             .into(),
                     );
-                    conn.answer(quiet, Reply::new(meta, Err(e)));
+                    conn.answer(Reply::new(meta, Err(e)));
                 }
                 Opcode::EncodeBatch | Opcode::DecodeBatch | Opcode::Classify => {
                     match self.parse_work(op, payload) {
-                        Err(e) => conn.answer(quiet, Reply::new(meta, Err(e))),
-                        Ok(work) if quiet && work.inline_cost() <= INLINE_WORK_BUDGET => {
-                            // Quiet-connection inline execution: nothing
-                            // else is in flight, so blocking the reader
-                            // for this small request trades no window
-                            // concurrency away and skips both thread
-                            // hand-offs (pool submit, writer wake).
+                        Err(e) => conn.answer(Reply::new(meta, Err(e))),
+                        Ok(work) if sole && work.inline_cost() <= INLINE_WORK_BUDGET => {
+                            // Inline execution: nothing else is in
+                            // flight, so blocking the reader for this
+                            // small request trades no window concurrency
+                            // away and skips both thread hand-offs (pool
+                            // submit, writer wake).
                             let reply = run_whole(
                                 work,
                                 meta,
@@ -1089,7 +1058,7 @@ impl ConnCtx {
                                 &mut codec,
                                 &self.counters,
                             );
-                            conn.answer(true, reply);
+                            conn.answer(reply);
                         }
                         Ok(work) => self.submit(&mut conn, work, meta),
                     }
@@ -1142,8 +1111,7 @@ impl ConnCtx {
 
     /// Submits one whole request to the bounded pool queue, retrying
     /// while the queue is full but never past the request's deadline.
-    /// Submission failures become typed replies on the writer, which
-    /// releases the tag.
+    /// The reader writes a submission failure's typed reply itself.
     fn submit(&self, conn: &mut Conn, work: WholeWork, meta: ReqMeta) {
         // The job's reply goes through the writer thread.
         conn.spawn_writer();
@@ -1178,7 +1146,7 @@ impl ConnCtx {
                 }
             }
         };
-        conn.queue(Reply::new(meta, Err(failure)));
+        conn.answer(Reply::new(meta, Err(failure)));
     }
 
     /// Handles one `CompressStream` request after its begin frame: reads
@@ -1426,7 +1394,7 @@ fn error_status(e: &ServeError) -> &'static str {
     }
 }
 
-/// Executes one whole request — on a pool worker, or inline on a quiet
+/// Executes one whole request — on a pool worker, or inline on the
 /// connection's reader — to a finished [`Reply`], with identical bytes,
 /// deadline checks, panic isolation, and metrics either way. The
 /// deadline is checked at dequeue and before each batch item (an item

@@ -111,6 +111,7 @@ fn v1_replies_keep_arrival_order_across_pooled_rejected_and_streamed_requests() 
     let tables = QuantTablePair::standard(70);
     let (handle, mut client) = start(tables.clone());
     let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
 
     // 1. A pooled EncodeBatch: one 128×128 image, over the inline budget.
     let pooled = RgbImage::gradient(128, 128);
@@ -118,7 +119,8 @@ fn v1_replies_keep_arrival_order_across_pooled_rejected_and_streamed_requests() 
     w.put_u8(Opcode::EncodeBatch as u8);
     w.put_len(1);
     protocol::put_image(&mut w, &pooled);
-    protocol::write_frame(&mut conn, w.as_bytes()).expect("encode request");
+    let pooled_request = w.into_bytes();
+    protocol::write_frame(&mut conn, &pooled_request).expect("encode request");
     // 2. A frame with an unknown opcode.
     protocol::write_frame(&mut conn, &[0xEE]).expect("unknown opcode");
     // 3. A CompressStream begin frame with its strips.
@@ -142,35 +144,38 @@ fn v1_replies_keep_arrival_order_across_pooled_rejected_and_streamed_requests() 
     protocol::put_blob(&mut w, &jfif);
     protocol::write_frame(&mut conn, w.as_bytes()).expect("decompress request");
 
-    let mut next = || {
-        protocol::read_frame(&mut conn)
+    let next = |conn: &mut TcpStream| {
+        protocol::read_frame(conn)
             .expect("reply")
             .expect("reply before eof")
     };
-    let reply = next();
-    assert_eq!(reply[0], STATUS_OK, "1: pooled encode");
-    let mut r = ByteReader::new(&reply[1..]);
-    assert_eq!(r.u32().expect("count"), 1);
-    let local = Encoder::with_tables(tables.clone())
+    let pooled_local = Encoder::with_tables(tables.clone())
         .encode(&pooled)
         .expect("local encode");
-    assert_eq!(protocol::get_blob(&mut r).expect("blob"), local);
+    let assert_pooled = |reply: Vec<u8>, what: &str| {
+        assert_eq!(reply[0], STATUS_OK, "{what}");
+        let mut r = ByteReader::new(&reply[1..]);
+        assert_eq!(r.u32().expect("count"), 1, "{what}");
+        let blob = protocol::get_blob(&mut r).expect("blob");
+        assert!(blob == pooled_local, "{what}: {} bytes", blob.len());
+    };
+    assert_pooled(next(&mut conn), "1: pooled encode");
 
-    let reply = next();
+    let reply = next(&mut conn);
     assert_eq!(reply[0], STATUS_ERR, "2: typed rejection");
     let msg = String::from_utf8_lossy(&reply[1..]).into_owned();
     assert!(msg.contains("unknown opcode 238"), "{msg}");
 
-    let reply = next();
+    let reply = next(&mut conn);
     assert_eq!(reply[0], STATUS_OK, "3: compress stream");
-    let local = Encoder::with_tables(tables)
+    let local = Encoder::with_tables(tables.clone())
         .optimize_huffman(false)
         .encode(&streamed)
         .expect("local encode");
     let blob = protocol::get_blob(&mut ByteReader::new(&reply[1..])).expect("blob");
     assert_eq!(blob, local);
 
-    let begin = next();
+    let begin = next(&mut conn);
     assert_eq!(begin[0], STATUS_OK, "4: decompress stream");
     let mut r = ByteReader::new(&begin[1..]);
     assert_eq!(
@@ -179,12 +184,50 @@ fn v1_replies_keep_arrival_order_across_pooled_rejected_and_streamed_requests() 
     );
     let mut pixels = Vec::new();
     for _ in 0..strip_count_for(12) {
-        let frame = next();
+        let frame = next(&mut conn);
         assert_eq!(frame[0], STATUS_OK);
         pixels.extend_from_slice(&frame[1..]);
     }
     let local = Decoder::new().decode(&jfif).expect("local decode");
     assert_eq!(pixels, local.as_bytes());
+
+    // 5. Rounds that put a request the reader answers inline right
+    // behind a pooled one: the reader writes the inline reply while the
+    // writer thread may still hold the write lock for the pooled reply,
+    // which must still arrive first.
+    let small = RgbImage::gradient(8, 8);
+    let mut w = ByteWriter::new();
+    w.put_u8(Opcode::EncodeBatch as u8);
+    w.put_len(1);
+    protocol::put_image(&mut w, &small);
+    let small_request = w.into_bytes();
+    let small_local = Encoder::with_tables(tables)
+        .encode(&small)
+        .expect("local encode");
+    for round in 0..64 {
+        protocol::write_frame(&mut conn, &pooled_request).expect("pooled request");
+        let inline: &[u8] = match round % 3 {
+            0 => &[Opcode::Ping as u8],
+            1 => &small_request,
+            _ => &[0xEE],
+        };
+        protocol::write_frame(&mut conn, inline).expect("inline request");
+        assert_pooled(
+            next(&mut conn),
+            &format!("round {round}: pooled reply first"),
+        );
+        let reply = next(&mut conn);
+        match round % 3 {
+            0 => assert_eq!(reply, [STATUS_OK], "round {round}: pong"),
+            1 => {
+                assert_eq!(reply[0], STATUS_OK, "round {round}: inline encode");
+                let mut r = ByteReader::new(&reply[1..]);
+                assert_eq!(r.u32().expect("count"), 1);
+                assert_eq!(protocol::get_blob(&mut r).expect("blob"), small_local);
+            }
+            _ => assert_eq!(reply[0], STATUS_ERR, "round {round}: typed rejection"),
+        }
+    }
     client.shutdown().expect("shutdown");
     handle.join();
 }

@@ -41,7 +41,7 @@ fn connect_raw(handle: &deepn_serve::ServerHandle) -> TcpStream {
 }
 
 fn send_tagged(conn: &mut TcpStream, tag: u32, inner: &[u8]) {
-    protocol::write_frame(conn, &protocol::tagged_body(tag, inner)).expect("tagged frame");
+    protocol::write_tagged_frame(conn, tag, inner).expect("tagged frame");
 }
 
 /// Reads one tagged reply: `(tag, status, payload)`.
@@ -324,7 +324,7 @@ fn scripted_tagged_partial_ack(listener: TcpListener, total: usize, ack: usize) 
         tags.push(read_ping(&mut conn));
     }
     for &tag in &tags[..ack] {
-        protocol::write_frame(&mut conn, &protocol::tagged_body(tag, &[STATUS_OK])).expect("ack");
+        protocol::write_tagged_frame(&mut conn, tag, &[STATUS_OK]).expect("ack");
     }
     drop(conn); // total - ack requests die unacknowledged
 
@@ -333,7 +333,7 @@ fn scripted_tagged_partial_ack(listener: TcpListener, total: usize, ack: usize) 
     let mut replayed = Vec::new();
     for _ in 0..total - ack {
         let tag = read_ping(&mut conn);
-        protocol::write_frame(&mut conn, &protocol::tagged_body(tag, &[STATUS_OK])).expect("ack");
+        protocol::write_tagged_frame(&mut conn, tag, &[STATUS_OK]).expect("ack");
         replayed.push(tag);
     }
     assert_eq!(

@@ -13,7 +13,7 @@ use deepn::core::experiment::{run_symmetric_cached_with_models, ExperimentConfig
 use deepn::core::sa_search::{anneal, anneal_restarts, SaConfig};
 use deepn::core::{analyze_images, CompressionScheme, DeepnTableBuilder, PlmParams};
 use deepn::dataset::ImageSet;
-use deepn::serve::{Client, PipelineReply, Server, ServerConfig};
+use deepn::serve::{Client, Server, ServerConfig};
 use deepn::store::{self, ArtifactKind, FsModelCache, FsRoundTripCache, StoredModel};
 use std::error::Error;
 use std::fs::File;
@@ -93,11 +93,12 @@ COMMANDS:
                   (output bytes are identical either way) and prints the
                   stage table and the pool's counters
                   --cache-dir DIR [--scale fast|full] [--profile]
-    trace-export  Run a pipelined mixed workload against an in-process
-                  service with tracing (and so stage timing) on, and write
-                  the recorded spans as Chrome trace-event JSON
+    trace-export  Run a short loadgen workload (one serial and one
+                  pipelined client) against an in-process service with
+                  tracing (and so stage timing) on, and write the
+                  recorded spans as Chrome trace-event JSON
                   (Perfetto-loadable)
-                  --out PATH [--requests N] [--window W]
+                  --out PATH
     inspect       Print an artifact's header
                   PATH
     lint          Run the workspace invariant analyzer (safety-ledger,
@@ -710,15 +711,6 @@ fn cmd_loadgen(mut args: Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Unwraps a [`PipelineReply`] expected to carry exactly one encoded
-/// stream.
-fn expect_encoded(reply: PipelineReply) -> Result<Vec<u8>, Box<dyn Error>> {
-    match reply {
-        PipelineReply::Encoded(mut blobs) if blobs.len() == 1 => Ok(blobs.remove(0)),
-        other => Err(format!("unexpected pipelined reply: {other:?}").into()),
-    }
-}
-
 fn cmd_pipeline(mut args: Args) -> Result<(), Box<dyn Error>> {
     let cache_dir = args.required("--cache-dir")?;
     let scale = args.scale()?;
@@ -839,9 +831,9 @@ fn print_profile_report() {
     );
 }
 
-/// Span names `trace-export` asserts before writing: the workload below
-/// exercises each of these paths, so their absence means the
-/// instrumentation regressed, not that the run was quiet.
+/// Span names `trace-export` asserts before writing: loadgen's request
+/// mix and its scraper exercise each of these paths, so their absence
+/// means the instrumentation regressed, not that the run was quiet.
 const EXPECTED_SPANS: &[&str] = &[
     "serve.request.ping",
     "serve.request.encode_batch",
@@ -855,8 +847,6 @@ const EXPECTED_SPANS: &[&str] = &[
 
 fn cmd_trace_export(mut args: Args) -> Result<(), Box<dyn Error>> {
     let out = args.required("--out")?;
-    let requests = args.parsed("--requests", 32usize)?.max(1);
-    let window = args.parsed("--window", 8usize)?.max(1);
     args.finish()?;
 
     deepn::trace::set_enabled(true);
@@ -871,34 +861,24 @@ fn cmd_trace_export(mut args: Args) -> Result<(), Box<dyn Error>> {
     )?;
     let addr = server.local_addr()?;
     let handle = server.spawn();
-    let mut client = Client::connect_retry(addr, Duration::from_secs(10))?;
 
-    // Mixed workload: pipelined single-image encodes (the window keeps
-    // queue-wait spans non-trivial), then batch decodes and the metadata
-    // ops, so every expected span name fires at least once.
-    let images = [
-        deepn::codec::RgbImage::gradient(64, 64),
-        deepn::codec::RgbImage::gradient(96, 48),
-    ];
-    client.ping()?;
-    let mut streams = Vec::with_capacity(requests);
-    {
-        let mut pipe = client.pipeline(window);
-        for i in 0..requests {
-            pipe.submit_encode_batch(std::slice::from_ref(&images[i % images.len()]))?;
-            while let Some(reply) = pipe.try_ready() {
-                streams.push(expect_encoded(reply?)?);
-            }
-        }
-        while pipe.pending() > 0 {
-            streams.push(expect_encoded(pipe.recv()?)?);
-        }
-    }
-    client.decode_batch(&streams)?;
-    let stats = client.stats()?;
-    deepn::trace::prom::validate(&client.metrics()?).map_err(|e| format!("bad scrape: {e}"))?;
-    client.shutdown()?;
+    // loadgen's verified mix from one serial and one pipelined client:
+    // pairs of 64×64 images run on the pool, and the pipeline keeps
+    // queue-wait spans non-trivial. The run is short so that no thread's
+    // span ring overflows.
+    let mut cfg = deepn::serve::loadgen::LoadgenConfig::new(addr);
+    cfg.clients = 2;
+    cfg.pipeline_window = 8;
+    cfg.image_side = 64;
+    cfg.duration = Duration::from_millis(50);
+    cfg.scrape_interval = Duration::from_millis(50);
+    let report = deepn::serve::loadgen::run(&cfg);
+    Client::connect_retry(addr, Duration::from_secs(10))?.shutdown()?;
     handle.join();
+    let report = report?;
+    if !report.is_clean() {
+        return Err(format!("loadgen anomalies: {}", report.anomalies.join("; ")).into());
+    }
 
     let events = deepn::trace::snapshot_spans();
     for name in EXPECTED_SPANS {
@@ -910,10 +890,10 @@ fn cmd_trace_export(mut args: Args) -> Result<(), Box<dyn Error>> {
     deepn::trace::export::validate_json(&json).map_err(|e| format!("bad trace JSON: {e}"))?;
     std::fs::write(&out, &json)?;
     println!(
-        "{out}: {} span events from {} requests ({} dropped), {} bytes; \
+        "{out}: {} span events from {} verified requests ({} dropped), {} bytes; \
          load it at https://ui.perfetto.dev",
         events.len(),
-        stats.requests,
+        report.totals.ok,
         deepn::trace::dropped_spans(),
         json.len()
     );
