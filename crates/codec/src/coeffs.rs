@@ -63,6 +63,31 @@ fn token_symbol(token: u32) -> u8 {
     (token >> 16) as u8
 }
 
+/// Per-table symbol counts of a scan's tokens, indexed by table selector
+/// and symbol — what optimized Huffman tables are built from. Counted
+/// while tokenizing, so the token list is never walked again for them.
+pub(crate) type SymbolCounts = [[u64; 256]; 4];
+
+/// Counts `token`'s symbol.
+#[inline(always)]
+pub(crate) fn count_token(counts: &mut SymbolCounts, token: u32) {
+    counts[token_table(token)][usize::from(token_symbol(token))] += 1;
+}
+
+/// Bit `i` is set iff `zz[i] != 0`. Each group of eight coefficients
+/// becomes eight 0/1 bytes of a `u64`, and one multiply gathers their low
+/// bits into its top byte: byte `k` lands on bit `56 + k`, and no two
+/// partial products overlap, so nothing carries.
+#[inline(always)]
+fn nonzero_mask(zz: &[i32; 64]) -> u64 {
+    let mut mask = 0;
+    for (k, group) in zz.chunks_exact(8).enumerate() {
+        let flags = u64::from_le_bytes(std::array::from_fn(|i| u8::from(group[i] != 0)));
+        mask |= (flags.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    mask
+}
+
 /// The run-length walk of one zig-zag-ordered quantized block (T.81
 /// §F.1.2): hands `sink` every entropy token the block codes as, in
 /// bitstream order — DC category and mantissa, then (run, size) symbols
@@ -70,11 +95,15 @@ fn token_symbol(token: u32) -> u8 {
 /// same component (DPCM state); returns the new DC. Every encode path
 /// tokenizes through this one function.
 ///
+/// The walk visits only the nonzero AC coefficients, lowest bit of a
+/// nonzero mask first: a ZRL for each full 16 zeros before one, and an
+/// EOB exactly when `zz[63]` is zero.
+///
 /// # Panics
 ///
 /// Panics if a coefficient's category exceeds what baseline JPEG can code
 /// (DC > 11, AC > 10) — impossible for 8-bit input.
-#[inline]
+#[inline(always)]
 pub(crate) fn tokenize_block(
     zz: &[i32; 64],
     prev_dc: i32,
@@ -87,33 +116,37 @@ pub(crate) fn tokenize_block(
     let cat = category(diff);
     assert!(cat <= 11, "DC difference out of baseline range");
     sink(token(dc, cat, mantissa(diff, cat)));
-    let mut run = 0u32;
-    for &v in &zz[1..] {
-        if v == 0 {
-            run += 1;
-            continue;
-        }
+    let mut nonzero = nonzero_mask(zz) & !1;
+    // The first index not yet coded.
+    let mut next = 1;
+    while nonzero != 0 {
+        let i = nonzero.trailing_zeros() as usize;
+        nonzero &= nonzero - 1;
+        let mut run = i - next;
         while run >= 16 {
             sink(token(ac, ZRL, 0));
             run -= 16;
         }
+        let v = zz[i];
         let cat = category(v);
         assert!(cat <= 10, "AC coefficient out of baseline range");
         sink(token(ac, ((run as u8) << 4) | cat, mantissa(v, cat)));
-        run = 0;
+        next = i + 1;
     }
-    if run > 0 {
+    if next < 64 {
         sink(token(ac, EOB, 0));
     }
     zz[0]
 }
 
-/// Writes one token: its symbol's code from `table`, then its mantissa.
-#[inline]
+/// Writes one token: its symbol's code from `table`, then its mantissa,
+/// as one put of at most 16 + 11 bits.
+#[inline(always)]
 fn emit_token(writer: &mut BitWriter, table: &HuffmanEncoder, token: u32) {
     let symbol = token_symbol(token);
-    table.encode(writer, symbol);
-    writer.put(token as u16, u32::from(symbol & 0x0F));
+    let (code, len) = table.code(symbol);
+    let extra = u32::from(symbol & 0x0F);
+    writer.put_bits((code << extra) | (token & 0xFFFF), len + extra);
 }
 
 /// The four Huffman tables of one scan, indexed by token table selector:
@@ -147,23 +180,19 @@ impl ScanTables {
         ])
     }
 
-    /// Per-image optimized tables built from the symbol frequencies of
-    /// `tokens` (a whole image's, so every table has symbols).
-    pub(crate) fn optimized(tokens: &[u32]) -> Result<Self, CodecError> {
-        let mut freqs = [[0u64; 256]; 4];
-        for &t in tokens {
-            freqs[token_table(t)][usize::from(token_symbol(t))] += 1;
-        }
+    /// Per-image optimized tables built from a whole image's symbol
+    /// counts, so every table has symbols.
+    pub(crate) fn optimized(counts: &SymbolCounts) -> Result<Self, CodecError> {
         ScanTables::from_specs([
-            HuffmanSpec::from_frequencies(&freqs[0])?,
-            HuffmanSpec::from_frequencies(&freqs[1])?,
-            HuffmanSpec::from_frequencies(&freqs[2])?,
-            HuffmanSpec::from_frequencies(&freqs[3])?,
+            HuffmanSpec::from_frequencies(&counts[0])?,
+            HuffmanSpec::from_frequencies(&counts[1])?,
+            HuffmanSpec::from_frequencies(&counts[2])?,
+            HuffmanSpec::from_frequencies(&counts[3])?,
         ])
     }
 
     /// Writes one token through its table.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn emit(&self, writer: &mut BitWriter, token: u32) {
         emit_token(writer, &self.encoders[token_table(token)], token);
     }
@@ -230,6 +259,20 @@ pub fn decode_block(
     prev_dc: i32,
 ) -> Result<[i32; 64], CodecError> {
     let mut zz = [0i32; 64];
+    decode_block_into(reader, dc_table, ac_table, prev_dc, &mut zz)?;
+    Ok(zz)
+}
+
+/// [`decode_block`] into a caller's buffer, which it overwrites whole.
+#[inline(always)]
+pub(crate) fn decode_block_into(
+    reader: &mut BitReader<'_>,
+    dc_table: &HuffmanDecoder,
+    ac_table: &HuffmanDecoder,
+    prev_dc: i32,
+    zz: &mut [i32; 64],
+) -> Result<(), CodecError> {
+    *zz = [0; 64];
     let cat = dc_table.decode(reader)?;
     if cat > 11 {
         return Err(CodecError::BadHuffmanCode);
@@ -262,7 +305,7 @@ pub fn decode_block(
         zz[k] = extend(reader.bits(u32::from(cat))?, cat);
         k += 1;
     }
-    Ok(zz)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -382,6 +425,99 @@ mod tests {
                 ),
                 "difference {diff} from {prev_dc}"
             );
+        }
+    }
+
+    /// The tokenizer as first written: one test per AC coefficient. The
+    /// oracle for the nonzero-mask walk in [`tokenize_block`].
+    fn serial_tokens(zz: &[i32; 64], prev_dc: i32, chroma: bool) -> Vec<u32> {
+        let dc = if chroma { DC_CHROMA } else { DC_LUMA };
+        let ac = dc + 1;
+        let diff = zz[0] - prev_dc;
+        let cat = category(diff);
+        let mut tokens = vec![token(dc, cat, mantissa(diff, cat))];
+        let mut run = 0u32;
+        for &v in &zz[1..] {
+            if v == 0 {
+                run += 1;
+                continue;
+            }
+            while run >= 16 {
+                tokens.push(token(ac, ZRL, 0));
+                run -= 16;
+            }
+            let cat = category(v);
+            tokens.push(token(ac, ((run as u8) << 4) | cat, mantissa(v, cat)));
+            run = 0;
+        }
+        if run > 0 {
+            tokens.push(token(ac, EOB, 0));
+        }
+        tokens
+    }
+
+    /// SplitMix64, for the seeded blocks below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn mask_walk_tokenizes_like_the_serial_walk() {
+        let mut blocks = Vec::new();
+        // Zero runs of 15, 16, 17 and 47 before a coefficient, ending
+        // early or at 63, and the all-zero AC block.
+        for run in [15, 16, 17, 47] {
+            for last in [false, true] {
+                let mut b = [0i32; 64];
+                b[1 + run] = -3;
+                if last {
+                    b[63] = 1;
+                }
+                blocks.push(b);
+            }
+        }
+        blocks.push([0; 64]);
+        let mut only_63 = [0; 64];
+        only_63[63] = -1023;
+        blocks.push(only_63);
+        // Random blocks from sparse to dense, with values of every AC
+        // category.
+        let mut rng = 0x70CE_u64;
+        for case in 0..20_000 {
+            let density = [1, 4, 16, 48, 64][case % 5];
+            let mut b = [0i32; 64];
+            for v in &mut b[1..] {
+                let r = splitmix(&mut rng);
+                if r % 64 < density {
+                    let cat = 1 + (r >> 8) % 10;
+                    let magnitude = ((r >> 16) % (1 << cat)).max(1 << (cat - 1)) as i32;
+                    *v = if r & (1 << 40) == 0 {
+                        magnitude
+                    } else {
+                        -magnitude
+                    };
+                }
+            }
+            b[0] = (splitmix(&mut rng) % 2047) as i32 - 1023;
+            blocks.push(b);
+        }
+        for (i, b) in blocks.iter().enumerate() {
+            // DC differences of ±2047 and of everything between.
+            let prev_dc = match i % 3 {
+                0 => b[0] - 2047,
+                1 => b[0] + 2047,
+                _ => i as i32 % 1000,
+            };
+            for chroma in [false, true] {
+                let mut got = Vec::new();
+                let dc = tokenize_block(b, prev_dc, chroma, |t| got.push(t));
+                assert_eq!(dc, b[0]);
+                assert_eq!(got, serial_tokens(b, prev_dc, chroma), "block {i}: {b:?}");
+            }
         }
     }
 

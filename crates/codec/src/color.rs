@@ -1,6 +1,5 @@
 //! JFIF RGB ↔ YCbCr color transforms (ITU-R BT.601 full range).
 
-use crate::quant::round_to_i32;
 use crate::RgbImage;
 
 /// One luma/chroma plane of `f32` samples in display order.
@@ -54,19 +53,56 @@ pub(crate) fn ycbcr(r: f32, g: f32, b: f32) -> [f32; 3] {
 
 /// Converts one YCbCr triple back to clamped 8-bit RGB.
 pub fn ycbcr_to_rgb(ycc: [f32; 3]) -> [u8; 3] {
-    let (y, cb, cr) = (ycc[0], ycc[1] - 128.0, ycc[2] - 128.0);
+    rgb(ycc[0], ycc[1], ycc[2]).map(clamp_u8)
+}
+
+/// The inverse transform before rounding, the one place its formula
+/// lives: [`ycbcr_to_rgb`] and the decoder's lane loop
+/// ([`block_row_to_rgb`]) perform the same IEEE operations per sample.
+#[inline(always)]
+fn rgb(y: f32, cb: f32, cr: f32) -> [f32; 3] {
+    let (cb, cr) = (cb - 128.0, cr - 128.0);
     let r = y + 1.402 * cr;
     let g = y - 0.344_136 * cb - 0.714_136 * cr;
     let b = y + 1.772 * cb;
-    [clamp_u8(r), clamp_u8(g), clamp_u8(b)]
+    [r, g, b]
+}
+
+/// Eight decoded pixels of one block row as interleaved RGB bytes, from
+/// the level-shifted Y, Cb and Cr samples of the three components' blocks:
+/// each sample is shifted back (`s + 128`), then converted and clamped
+/// exactly as [`ycbcr_to_rgb`] does, a lane per pixel.
+#[inline(always)]
+pub(crate) fn block_row_to_rgb(y: [f32; 8], cb: [f32; 8], cr: [f32; 8]) -> [u8; 24] {
+    let mut planes = [[0u8; 8]; 3];
+    for i in 0..8 {
+        let [r, g, b] = rgb(y[i] + 128.0, cb[i] + 128.0, cr[i] + 128.0);
+        planes[0][i] = clamp_u8(r);
+        planes[1][i] = clamp_u8(g);
+        planes[2][i] = clamp_u8(b);
+    }
+    std::array::from_fn(|k| planes[k % 3][k / 3])
 }
 
 /// `v.round().clamp(0.0, 255.0) as u8` for every `f32`, NaN and ±∞
-/// included, without libm's `roundf`: [`round_to_i32`] equals
-/// `v.round() as i32` on every input, saturating, so clamping its result
-/// as an integer lands where the float clamp does.
+/// included, without libm's `roundf` and without a float-to-int cast, so
+/// that the decoder's lane loop vectorizes.
+///
+/// Clamping first loses nothing: rounding is monotone, and `f32::max`
+/// maps NaN to 0, where `round` then `as u8` lands too. For `0 <= c <=
+/// 255`, adding 2^23 rounds `c` to an integer (ties to even) in the low
+/// bits of the sum, and `c` minus that integer is exact; a difference of
+/// exactly +0.5 is a tie rounded down, which rounding half away from zero
+/// takes up.
+#[inline(always)]
 fn clamp_u8(v: f32) -> u8 {
-    round_to_i32(v).clamp(0, 255) as u8
+    // Two statements, not one chain that clippy would turn into
+    // `f32::clamp`, which keeps NaN.
+    let c = v.max(0.0);
+    let c = c.min(255.0);
+    let biased = c + 8_388_608.0;
+    let tie_down = c - (biased - 8_388_608.0) == 0.5;
+    (biased.to_bits() as u8) + u8::from(tie_down)
 }
 
 /// Recombines Y, Cb, Cr planes into an RGB image.
@@ -87,10 +123,8 @@ pub fn planes_to_image(planes: &[Plane; 3]) -> RgbImage {
 }
 
 /// Inverse ColorConvert of Y, Cb, Cr sample rows into interleaved RGB
-/// bytes, one pixel per `rgb` triple — the loop the streaming decoder
-/// runs on every strip.
-#[inline]
-pub(crate) fn planes_to_rgb(y_plane: &[f32], cb_plane: &[f32], cr_plane: &[f32], rgb: &mut [u8]) {
+/// bytes, one pixel per `rgb` triple.
+fn planes_to_rgb(y_plane: &[f32], cb_plane: &[f32], cr_plane: &[f32], rgb: &mut [u8]) {
     let samples = y_plane.iter().zip(cb_plane).zip(cr_plane);
     for (px, ((&y, &cb), &cr)) in rgb.chunks_exact_mut(3).zip(samples) {
         px.copy_from_slice(&ycbcr_to_rgb([y, cb, cr]));
@@ -163,6 +197,18 @@ mod tests {
                 v.to_bits()
             );
         }
+    }
+
+    /// Every one of the 2^32 bit patterns. Slow in a debug build; CI runs
+    /// it with `cargo test --release -p deepn-codec -- --include-ignored`.
+    #[test]
+    #[ignore = "exhaustive over all f32 bit patterns; run in release"]
+    fn clamp_matches_std_on_every_f32() {
+        let mismatches = (0..=u32::MAX)
+            .map(f32::from_bits)
+            .filter(|&v| clamp_u8(v) != v.round().clamp(0.0, 255.0) as u8)
+            .count();
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub fn forward_dct_8x8(block: &Block) -> Block {
 }
 
 /// Inverse 2-D DCT (DCT-III), the exact inverse of [`forward_dct_8x8`].
+#[inline(always)]
 pub fn inverse_dct_8x8(coeffs: &Block) -> Block {
     let cos = cos_table();
     // Columns first.

@@ -30,12 +30,13 @@ struct FrameComponent {
     ac_id: u8,
 }
 
-/// One scan component with its tables resolved and owned — what the
-/// streaming decoder carries per component.
+/// One scan component with its tables resolved — what the streaming
+/// decoder carries per component. The Huffman tables are indices into
+/// [`ScanSetup::decoders`], which components share.
 pub(crate) struct ScanComponent {
     pub(crate) quant: QuantTable,
-    pub(crate) dc: HuffmanDecoder,
-    pub(crate) ac: HuffmanDecoder,
+    pub(crate) dc: usize,
+    pub(crate) ac: usize,
 }
 
 /// Everything the header segments pin down before the entropy-coded scan:
@@ -44,6 +45,8 @@ pub(crate) struct ScanSetup {
     pub(crate) width: usize,
     pub(crate) height: usize,
     pub(crate) components: Vec<ScanComponent>,
+    /// Every Huffman table the stream defines, each built once.
+    pub(crate) decoders: Vec<HuffmanDecoder>,
     pub(crate) scan_start: usize,
 }
 
@@ -86,27 +89,36 @@ impl ScanSetup {
         }
         let (width, height) = size.ok_or_else(|| CodecError::BadMarker("missing SOF0".into()))?;
 
+        // Move every defined table into one list, once; `slots` maps DC
+        // destinations 0–1 and AC destinations 0–1 to positions in it.
+        let mut decoders = Vec::with_capacity(4);
+        let mut slots = [None; 4];
+        for (slot, table) in slots.iter_mut().zip(dc_tables.into_iter().chain(ac_tables)) {
+            if let Some(table) = table {
+                *slot = Some(decoders.len());
+                decoders.push(table);
+            }
+        }
         let mut resolved = Vec::with_capacity(components.len());
         for c in &components {
             let q = quant[usize::from(c.quant_id)]
                 .as_ref()
                 .ok_or_else(|| CodecError::BadQuantTable("undefined table referenced".into()))?;
-            let dc = dc_tables[usize::from(c.dc_id)]
-                .as_ref()
+            let dc = slots[usize::from(c.dc_id)]
                 .ok_or_else(|| CodecError::BadHuffmanTable("undefined DC table".into()))?;
-            let ac = ac_tables[usize::from(c.ac_id)]
-                .as_ref()
+            let ac = slots[2 + usize::from(c.ac_id)]
                 .ok_or_else(|| CodecError::BadHuffmanTable("undefined AC table".into()))?;
             resolved.push(ScanComponent {
                 quant: q.clone(),
-                dc: dc.clone(),
-                ac: ac.clone(),
+                dc,
+                ac,
             });
         }
         Ok(ScanSetup {
             width,
             height,
             components: resolved,
+            decoders,
             scan_start: reader.scan_start(),
         })
     }

@@ -1,6 +1,6 @@
 use crate::bitstream::BitWriter;
 use crate::block::blocks_along;
-use crate::coeffs::{tokenize_block, ScanTables};
+use crate::coeffs::{count_token, tokenize_block, ScanTables, SymbolCounts};
 use crate::huffman::HuffmanSpec;
 use crate::marker::{
     jfif_app0_payload, write_marker, write_segment, APP0, DHT, DQT, EOI, SOF0, SOI, SOS,
@@ -13,7 +13,8 @@ use crate::{CodecError, QuantTablePair, RgbImage};
 
 /// Writes every header segment of a baseline 4:4:4 stream — SOI through
 /// SOS — exactly as both the one-shot and the streaming encoder emit them.
-/// `specs` is `[dc_luma, ac_luma, dc_chroma, ac_chroma]`.
+/// `specs` is `[dc_luma, ac_luma, dc_chroma, ac_chroma]`. Every payload
+/// is written in place, into a buffer grown once.
 pub(crate) fn write_headers(
     out: &mut Vec<u8>,
     tables: &QuantTablePair,
@@ -21,50 +22,46 @@ pub(crate) fn write_headers(
     height: usize,
     specs: &[HuffmanSpec; 4],
 ) {
+    let symbols: usize = specs.iter().map(|s| s.values.len()).sum();
+    out.reserve(2 + 18 + 2 * 133 + 19 + 4 * 21 + symbols + 14);
     write_marker(out, SOI);
-    write_segment(out, APP0, &jfif_app0_payload());
+    write_segment(out, APP0, |out| out.extend_from_slice(&jfif_app0_payload()));
     // DQT: luma table id 0, chroma table id 1.
     for (id, table) in [(0u8, &tables.luma), (1u8, &tables.chroma)] {
-        let wide = table.max_value() > 255;
-        let mut payload = Vec::with_capacity(1 + if wide { 128 } else { 64 });
-        payload.push((u8::from(wide) << 4) | id);
-        let zz = scan(table.values());
-        for &v in &zz {
-            if wide {
-                payload.extend_from_slice(&v.to_be_bytes());
-            } else {
-                payload.push(v as u8);
+        write_segment(out, DQT, |out| {
+            let wide = table.max_value() > 255;
+            out.push((u8::from(wide) << 4) | id);
+            for v in scan(table.values()) {
+                if wide {
+                    out.extend_from_slice(&v.to_be_bytes());
+                } else {
+                    out.push(v as u8);
+                }
             }
-        }
-        write_segment(out, DQT, &payload);
+        });
     }
     // SOF0: 8-bit precision, three 1x1-sampled components.
-    let mut sof = vec![8u8];
-    sof.extend_from_slice(&(height as u16).to_be_bytes());
-    sof.extend_from_slice(&(width as u16).to_be_bytes());
-    sof.push(3);
-    for (comp_id, qt_id) in [(1u8, 0u8), (2, 1), (3, 1)] {
-        sof.push(comp_id);
-        sof.push(0x11); // H=1, V=1
-        sof.push(qt_id);
-    }
-    write_segment(out, SOF0, &sof);
+    write_segment(out, SOF0, |out| {
+        out.push(8);
+        out.extend_from_slice(&(height as u16).to_be_bytes());
+        out.extend_from_slice(&(width as u16).to_be_bytes());
+        out.push(3);
+        for (comp_id, qt_id) in [(1u8, 0u8), (2, 1), (3, 1)] {
+            out.extend_from_slice(&[comp_id, 0x11, qt_id]); // H=1, V=1
+        }
+    });
     // DHT: class 0 = DC, class 1 = AC; destination 0 = luma, 1 = chroma.
     for (class_dest, spec) in [0x00u8, 0x10, 0x01, 0x11].into_iter().zip(specs) {
-        let mut payload = Vec::with_capacity(17 + spec.values.len());
-        payload.push(class_dest);
-        payload.extend_from_slice(&spec.bits);
-        payload.extend_from_slice(&spec.values);
-        write_segment(out, DHT, &payload);
+        write_segment(out, DHT, |out| {
+            out.push(class_dest);
+            out.extend_from_slice(&spec.bits);
+            out.extend_from_slice(&spec.values);
+        });
     }
-    // SOS header.
-    let mut sos = vec![3u8];
-    for (comp_id, tables) in [(1u8, 0x00u8), (2, 0x11), (3, 0x11)] {
-        sos.push(comp_id);
-        sos.push(tables);
-    }
-    sos.extend_from_slice(&[0, 63, 0]); // full spectral range, no approx
-    write_segment(out, SOS, &sos);
+    // SOS header: full spectral range, no approximation.
+    write_segment(out, SOS, |out| {
+        out.extend_from_slice(&[3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]);
+    });
 }
 
 /// Quantized, zig-zag-ordered DCT coefficients for the three components of
@@ -204,8 +201,9 @@ impl Encoder {
     /// A thin adapter over [`StreamEncoder`]: the image is fed strip by
     /// strip through a fresh [`EncodeWorkspace`]. With optimized Huffman
     /// tables on, the strips go through the analysis pass, which
-    /// transforms each strip once and records its entropy tokens, then
-    /// through the encode pass, which emits those tokens.
+    /// transforms each strip once and records its entropy tokens; the
+    /// encode pass then emits those tokens without feeding the pixels
+    /// again ([`StreamEncoder::encode_analyzed_strip`]).
     /// Use [`encode_with`](Self::encode_with) to reuse a workspace across
     /// images, or [`stream_encoder`](Self::stream_encoder) to feed strips
     /// yourself with O(strip) memory.
@@ -236,15 +234,19 @@ impl Encoder {
     ) -> Result<Vec<u8>, CodecError> {
         let mut session = self.stream_encoder(image.width(), image.height())?;
         let mut strip = PixelStrip::new();
-        if session.needs_analysis_pass() {
-            for s in 0..session.strip_count() {
-                strip.copy_from_image(image, s);
-                session.analyze_strip(&strip, ws)?;
-            }
-        }
+        let optimized = session.needs_analysis_pass();
         for s in 0..session.strip_count() {
             strip.copy_from_image(image, s);
-            session.encode_strip(&strip, ws)?;
+            if optimized {
+                session.analyze_strip(&strip, ws)?;
+            } else {
+                session.encode_strip(&strip, ws)?;
+            }
+        }
+        if optimized {
+            for _ in 0..session.strip_count() {
+                session.encode_analyzed_strip(ws)?;
+            }
         }
         session.finish()
     }
@@ -293,16 +295,20 @@ impl Encoder {
         }
 
         // Tokenize the interleaved scan: per MCU (= one block position in
-        // 4:4:4), Y then Cb then Cr.
+        // 4:4:4), Y then Cb then Cr, counting symbols on the way.
         let mut tokens = Vec::new();
+        let mut counts: SymbolCounts = [[0; 256]; 4];
         let mut prev_dc = [0i32; 3];
         for b in 0..bw * bh {
             for (ci, (plane, prev)) in coeffs.planes.iter().zip(prev_dc.iter_mut()).enumerate() {
-                *prev = tokenize_block(&plane[b], *prev, ci > 0, |t| tokens.push(t));
+                *prev = tokenize_block(&plane[b], *prev, ci > 0, |t| {
+                    tokens.push(t);
+                    count_token(&mut counts, t);
+                });
             }
         }
         let tables = if self.optimize_huffman {
-            ScanTables::optimized(&tokens)?
+            ScanTables::optimized(&counts)?
         } else {
             ScanTables::standard()?
         };

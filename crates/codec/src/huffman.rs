@@ -1,9 +1,11 @@
 //! Canonical Huffman coding: the Annex K standard tables, per-image
 //! optimized table construction (ITU T.81 Annex K.2), a symbol encoder,
-//! and a bit-serial decoder (T.81 §F.2.2.3).
+//! and a decoder that resolves short codes with one table lookup and the
+//! rest with the T.81 §F.2.2.3 walk.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::CodecError;
+use std::cmp::Reverse;
 
 /// A Huffman table specification as carried in a DHT segment: `bits[l]`
 /// counts the codes of length `l+1`, and `values` lists the symbols in
@@ -113,23 +115,50 @@ impl HuffmanSpec {
     /// Symbols with zero frequency receive no code. Returns an error only
     /// if `freqs` is all zero.
     ///
+    /// Only the live symbols (nonzero frequency) take part: one pass over
+    /// `freqs` lists them in ascending symbol order, followed by the
+    /// reserved slot 256 at frequency 1, so no real symbol gets the
+    /// all-ones code. Every later step works on that short list — an image
+    /// uses a few dozen symbols per table, often fewer.
+    ///
     /// # Errors
     ///
     /// [`CodecError::BadHuffmanTable`] if no symbol has nonzero frequency.
     pub fn from_frequencies(freqs: &[u64; 256]) -> Result<Self, CodecError> {
-        if freqs.iter().all(|&f| f == 0) {
+        let mut symbols = [0u16; 257];
+        let mut freq = [0u64; 257];
+        let mut n = 0;
+        // Eight slots at a time: most groups are all zero.
+        for (group, chunk) in (0u16..).step_by(8).zip(freqs.chunks_exact(8)) {
+            if chunk.iter().all(|&f| f == 0) {
+                continue;
+            }
+            for (s, &f) in (group..).zip(chunk) {
+                if f > 0 {
+                    (symbols[n], freq[n]) = (s, f);
+                    n += 1;
+                }
+            }
+        }
+        if n == 0 {
             return Err(CodecError::BadHuffmanTable("no symbols observed".into()));
         }
-        HuffmanSpec::from_code_sizes(&code_sizes(&working_frequencies(freqs)))
+        (symbols[n], freq[n]) = (256, 1);
+        n += 1;
+        let mut sizes = [0u32; 257];
+        code_sizes(&mut freq[..n], &mut sizes[..n]);
+        HuffmanSpec::from_code_sizes(&symbols[..n], &sizes[..n])
     }
 
     /// The Annex K.2 steps after the code-size tree: count codes per
     /// length, fold lengths above 16 down (Adjust_BITS), drop the reserved
     /// codepoint, and list the symbols canonically (Sort_input).
-    fn from_code_sizes(codesize: &[u32; 257]) -> Result<Self, CodecError> {
+    /// `symbols` are the live symbols in ascending order with the reserved
+    /// slot 256 last, and `codesize[i]` is the code size of `symbols[i]`.
+    fn from_code_sizes(symbols: &[u16], codesize: &[u32]) -> Result<Self, CodecError> {
         // Count codes per size (sizes can exceed 16 before adjustment).
         let mut bits_long = [0u32; 64];
-        for &cs in codesize.iter() {
+        for &cs in codesize {
             if cs > 0 {
                 assert!((cs as usize) < 64, "pathological code length");
                 bits_long[cs as usize] += 1;
@@ -167,13 +196,18 @@ impl HuffmanSpec {
         for l in 1..=16 {
             bits[l - 1] = bits_long[l] as u8;
         }
-        // Sort real symbols by (codesize, symbol) to list them canonically.
-        let mut syms: Vec<(u32, usize)> = (0..256)
-            .filter(|&s| codesize[s] > 0)
-            .map(|s| (codesize[s], s))
-            .collect();
-        syms.sort_unstable();
-        let values: Vec<u8> = syms.into_iter().map(|(_, s)| s as u8).collect();
+        // Sort the real symbols by (codesize, symbol) to list them
+        // canonically: one key per symbol, sorted in place.
+        let mut keys = [0u16; 256];
+        let mut n = 0;
+        for (&s, &cs) in symbols.iter().zip(codesize) {
+            if s < 256 && cs > 0 {
+                keys[n] = ((cs as u16) << 8) | s;
+                n += 1;
+            }
+        }
+        keys[..n].sort_unstable();
+        let values: Vec<u8> = keys[..n].iter().map(|&k| k as u8).collect();
         HuffmanSpec::new(bits, values)
     }
 
@@ -183,80 +217,58 @@ impl HuffmanSpec {
     }
 }
 
-/// The Annex K.2 working frequencies: `freqs` with slot 256 reserved at
-/// frequency 1, so no real symbol gets the all-ones code.
-fn working_frequencies(freqs: &[u64; 256]) -> [i64; 257] {
-    let mut freq = [0i64; 257];
-    for (f, &src) in freq.iter_mut().zip(freqs.iter()) {
-        *f = src as i64;
-    }
-    freq[256] = 1;
-    freq
-}
-
 /// Annex K.2 Code_size: repeatedly merges the two least frequent trees,
-/// lengthening the codes of every symbol in both by one.
+/// lengthening the codes of every symbol in both by one. `freq` holds the
+/// live symbols' frequencies in ascending symbol order (the reserved slot
+/// last) and is consumed; `codesize`, indexed the same way, receives the
+/// code sizes.
 ///
-/// Both searches walk only the live slots (nonzero frequency), kept in
-/// ascending index order so that `<=` hands ties to the larger index, as
-/// a scan of all 257 slots does. A merged-away slot leaves the list. An
-/// image uses a few dozen symbols per table, so this costs a few dozen
-/// steps per merge instead of 257.
-fn code_sizes(freq: &[i64; 257]) -> [u32; 257] {
-    let mut freq = *freq;
-    let mut live = [0u16; 257];
-    let mut n = 0;
-    for (i, &f) in freq.iter().enumerate() {
-        if f > 0 {
-            live[n] = i as u16;
-            n += 1;
-        }
+/// K.2 takes as `V1` the least frequency, ties to the larger index, and as
+/// `V2` the least of the rest by the same rule; the merged tree keeps
+/// `V1`'s index. Both are therefore the first two trees in the order
+/// (frequency ascending, index descending), so the trees wait in a list
+/// kept in that order: each merge takes its first two and moves the merged
+/// tree to where it belongs, instead of searching every tree twice. A
+/// symbol's code size is the number of merges its tree took part in, its
+/// depth in the final tree, which one walk back over the merges assigns.
+fn code_sizes(freq: &mut [u64], codesize: &mut [u32]) {
+    let n = freq.len();
+    let mut order = [0u16; 257];
+    for (o, i) in order.iter_mut().zip(0..n as u16) {
+        *o = i;
     }
-    let mut codesize = [0u32; 257];
-    let mut others = [-1i32; 257];
-    // Until a single tree remains.
-    while n > 1 {
-        // v1: least frequency, ties -> larger index.
-        let (mut p1, mut min1) = (0, i64::MAX);
-        for (p, f) in live[..n].iter().map(|&i| freq[usize::from(i)]).enumerate() {
-            if f <= min1 {
-                (p1, min1) = (p, f);
-            }
+    let order = &mut order[..n];
+    order.sort_unstable_by_key(|&i| (freq[usize::from(i)], Reverse(i)));
+    let mut merges = [(0u16, 0u16); 256];
+    for (head, merge) in (1..n).zip(merges.iter_mut()) {
+        let (v1, v2) = (order[head - 1], order[head]);
+        freq[usize::from(v1)] += freq[usize::from(v2)];
+        let key = (freq[usize::from(v1)], Reverse(v1));
+        // The merged tree takes V2's place, then moves back past every
+        // tree that orders before it.
+        let mut p = head;
+        while p + 1 < n && (freq[usize::from(order[p + 1])], Reverse(order[p + 1])) < key {
+            order[p] = order[p + 1];
+            p += 1;
         }
-        // v2: next least, excluding v1.
-        let (mut p2, mut min2) = (0, i64::MAX);
-        for (p, f) in live[..n].iter().map(|&i| freq[usize::from(i)]).enumerate() {
-            if f <= min2 && p != p1 {
-                (p2, min2) = (p, f);
-            }
-        }
-        let (v1, v2) = (usize::from(live[p1]), usize::from(live[p2]));
-        live.copy_within(p2 + 1..n, p2);
-        n -= 1;
-        freq[v1] += freq[v2];
-        freq[v2] = 0;
+        order[p] = v1;
+        *merge = (v1, v2);
+    }
+    // Backwards from the root (depth 0): before each merge, both trees
+    // sat one level below the tree it made in V1's slot.
+    codesize.fill(0);
+    for &(v1, v2) in merges[..n - 1].iter().rev() {
+        let (v1, v2) = (usize::from(v1), usize::from(v2));
+        codesize[v2] = codesize[v1] + 1;
         codesize[v1] += 1;
-        let mut i = v1;
-        while others[i] >= 0 {
-            i = others[i] as usize;
-            codesize[i] += 1;
-        }
-        others[i] = v2 as i32;
-        codesize[v2] += 1;
-        let mut i = v2;
-        while others[i] >= 0 {
-            i = others[i] as usize;
-            codesize[i] += 1;
-        }
     }
-    codesize
 }
 
 /// Encoder-side lookup: `(code, length)` per symbol.
 #[derive(Debug, Clone)]
 pub struct HuffmanEncoder {
-    code: [u16; 256],
-    size: [u8; 256],
+    /// `length << 16 | code` per symbol; 0 for a symbol without a code.
+    codes: [u32; 256],
 }
 
 impl HuffmanEncoder {
@@ -267,26 +279,36 @@ impl HuffmanEncoder {
     /// Propagates validation errors from [`HuffmanSpec::new`] semantics
     /// (the spec is assumed validated; duplicate symbols are rejected).
     pub fn from_spec(spec: &HuffmanSpec) -> Result<Self, CodecError> {
-        let mut code = [0u16; 256];
-        let mut size = [0u8; 256];
-        let mut next: u16 = 0;
+        let mut codes = [0u32; 256];
+        let mut next: u32 = 0;
         let mut k = 0usize;
-        for (l, &count) in spec.bits.iter().enumerate() {
+        for (l, &count) in (1u32..).zip(&spec.bits) {
             for _ in 0..count {
                 let sym = spec.values[k] as usize;
-                if size[sym] != 0 {
+                if codes[sym] != 0 {
                     return Err(CodecError::BadHuffmanTable(format!(
                         "duplicate symbol {sym:#x}"
                     )));
                 }
-                code[sym] = next;
-                size[sym] = (l + 1) as u8;
+                codes[sym] = (l << 16) | (next & 0xFFFF);
                 next += 1;
                 k += 1;
             }
             next <<= 1;
         }
-        Ok(HuffmanEncoder { code, size })
+        Ok(HuffmanEncoder { codes })
+    }
+
+    /// The code of `symbol` and its length in bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the symbol has no code in this table.
+    #[inline(always)]
+    pub(crate) fn code(&self, symbol: u8) -> (u32, u32) {
+        let entry = self.codes[usize::from(symbol)];
+        assert!(entry != 0, "symbol {symbol:#x} has no huffman code");
+        (entry & 0xFFFF, entry >> 16)
     }
 
     /// Emits the code for `symbol`.
@@ -295,70 +317,121 @@ impl HuffmanEncoder {
     ///
     /// Panics if the symbol has no code in this table.
     pub fn encode(&self, writer: &mut BitWriter, symbol: u8) {
-        let s = self.size[symbol as usize];
-        assert!(s > 0, "symbol {symbol:#x} has no huffman code");
-        writer.put(self.code[symbol as usize], u32::from(s));
+        let (code, len) = self.code(symbol);
+        writer.put_bits(code, len);
     }
 
     /// Code length in bits for `symbol` (0 if uncoded) — used by size
     /// accounting tests and the rate model.
     pub fn code_len(&self, symbol: u8) -> u8 {
-        self.size[symbol as usize]
+        (self.codes[usize::from(symbol)] >> 16) as u8
     }
 }
 
-/// Decoder-side canonical tables (T.81 §F.2.2.3: MINCODE/MAXCODE/VALPTR).
+/// Bits one lookup of [`HuffmanDecoder::decode`] resolves: IJG
+/// `jdhuff.c`'s `HUFF_LOOKAHEAD`. Most codes an image uses are this short.
+const LOOKAHEAD: u32 = 9;
+
+/// Decoder-side tables: a lookahead table for codes of up to 9 bits, and
+/// the canonical T.81 §F.2.2.3 tables
+/// (MINCODE/MAXCODE/VALPTR) for longer codes and for the last bits of a
+/// scan. One heap block per table, built once per scan and shared by every
+/// component that uses it.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
+    tables: Box<DecodeTables>,
+}
+
+#[derive(Debug, Clone)]
+struct DecodeTables {
+    /// For each [`LOOKAHEAD`]-bit window, `length << 8 | symbol` of the
+    /// code the window starts with, or 0 when that code is longer.
+    lookahead: [u16; 1 << LOOKAHEAD],
     mincode: [i32; 17],
     maxcode: [i32; 17],
     valptr: [i32; 17],
-    values: Vec<u8>,
+    /// The symbols in canonical order; the first `len` are valid.
+    values: [u8; 256],
+    len: usize,
 }
 
 impl HuffmanDecoder {
     /// Compiles a specification into decoding tables.
     pub fn from_spec(spec: &HuffmanSpec) -> Self {
-        let mut mincode = [0i32; 17];
-        let mut maxcode = [-1i32; 17];
-        let mut valptr = [0i32; 17];
+        let mut t = Box::new(DecodeTables {
+            lookahead: [0; 1 << LOOKAHEAD],
+            mincode: [0; 17],
+            maxcode: [-1; 17],
+            valptr: [0; 17],
+            values: [0; 256],
+            len: spec.values.len().min(256),
+        });
+        t.values[..t.len].copy_from_slice(&spec.values[..t.len]);
         let mut code: i32 = 0;
         let mut k: i32 = 0;
         for l in 1..=16usize {
             let count = i32::from(spec.bits[l - 1]);
             if count > 0 {
-                valptr[l] = k;
-                mincode[l] = code;
+                t.valptr[l] = k;
+                t.mincode[l] = code;
+                if l as u32 <= LOOKAHEAD {
+                    // Every window that starts with one of these codes.
+                    let shift = LOOKAHEAD - l as u32;
+                    for c in code..code + count {
+                        let Some(&sym) = spec.values.get((k + c - code) as usize) else {
+                            break;
+                        };
+                        let start = ((c as usize) << shift).min(1 << LOOKAHEAD);
+                        let end = ((c as usize + 1) << shift).min(1 << LOOKAHEAD);
+                        t.lookahead[start..end].fill(((l as u16) << 8) | u16::from(sym));
+                    }
+                }
                 code += count;
                 k += count;
-                maxcode[l] = code - 1;
+                t.maxcode[l] = code - 1;
             } else {
-                maxcode[l] = -1;
+                t.maxcode[l] = -1;
             }
             code <<= 1;
         }
-        HuffmanDecoder {
-            mincode,
-            maxcode,
-            valptr,
-            values: spec.values.clone(),
-        }
+        HuffmanDecoder { tables: t }
     }
 
-    /// Decodes one symbol from the bit stream.
+    /// Decodes one symbol from the bit stream: one lookup resolves a code
+    /// of up to 9 bits; a longer code, or a window cut short by the end of
+    /// the scan, takes the bit-by-bit walk.
     ///
     /// # Errors
     ///
     /// [`CodecError::BadHuffmanCode`] if 16 bits fail to match any code;
     /// [`CodecError::UnexpectedEof`] if the stream ends.
+    #[inline(always)]
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<u8, CodecError> {
-        let mut code: i32 = 0;
+        if reader.fill(LOOKAHEAD) >= LOOKAHEAD {
+            let entry = self.tables.lookahead[reader.peek(LOOKAHEAD) as usize];
+            if entry != 0 {
+                reader.consume(u32::from(entry >> 8));
+                return Ok(entry as u8);
+            }
+        }
+        self.decode_walk(reader)
+    }
+
+    /// The T.81 §F.2.2.3 DECODE procedure: extend the code a bit at a time
+    /// until it falls in a length's `[MINCODE, MAXCODE]` range.
+    #[inline(never)]
+    fn decode_walk(&self, reader: &mut BitReader<'_>) -> Result<u8, CodecError> {
+        let t = &*self.tables;
+        let available = reader.fill(16);
         for l in 1..=16usize {
-            code = (code << 1) | i32::from(reader.bit()?);
-            if self.maxcode[l] >= 0 && code <= self.maxcode[l] && code >= self.mincode[l] {
-                let idx = (self.valptr[l] + (code - self.mincode[l])) as usize;
-                return self
-                    .values
+            if l as u32 > available {
+                return Err(CodecError::UnexpectedEof);
+            }
+            let code = reader.peek(l as u32) as i32;
+            if t.maxcode[l] >= 0 && code <= t.maxcode[l] && code >= t.mincode[l] {
+                reader.consume(l as u32);
+                let idx = (t.valptr[l] + (code - t.mincode[l])) as usize;
+                return t.values[..t.len]
                     .get(idx)
                     .copied()
                     .ok_or(CodecError::BadHuffmanCode);
@@ -465,6 +538,17 @@ mod tests {
         round_trip(&spec, &symbols);
     }
 
+    /// The Annex K.2 working frequencies as first written: `freqs` with
+    /// slot 256 reserved at frequency 1.
+    fn working_frequencies(freqs: &[u64; 256]) -> [i64; 257] {
+        let mut freq = [0i64; 257];
+        for (f, &src) in freq.iter_mut().zip(freqs.iter()) {
+            *f = src as i64;
+        }
+        freq[256] = 1;
+        freq
+    }
+
     /// Code_size as first written: both minimum searches scan all 257
     /// slots for every merge. The reference for [`code_sizes`].
     fn reference_code_sizes(freq: &[i64; 257]) -> [u32; 257] {
@@ -509,6 +593,67 @@ mod tests {
             }
         }
         codesize
+    }
+
+    /// The steps after Code_size as first written, over all 257 slots:
+    /// count codes per length, Adjust_BITS, drop the reserved codepoint,
+    /// then filter all 256 symbols and sort them. The reference for
+    /// `from_code_sizes`.
+    fn reference_spec(codesize: &[u32; 257]) -> HuffmanSpec {
+        let mut bits_long = [0u32; 64];
+        for &cs in codesize.iter() {
+            if cs > 0 {
+                bits_long[cs as usize] += 1;
+            }
+        }
+        let mut i = 62usize;
+        while i >= 17 {
+            while bits_long[i] > 0 {
+                let mut j = i - 2;
+                while bits_long[j] == 0 {
+                    j -= 1;
+                }
+                bits_long[i] -= 2;
+                bits_long[i - 1] += 1;
+                bits_long[j + 1] += 2;
+                bits_long[j] -= 1;
+            }
+            i -= 1;
+        }
+        let mut i = 16;
+        while i > 0 && bits_long[i] == 0 {
+            i -= 1;
+        }
+        if i > 0 {
+            bits_long[i] -= 1;
+        }
+        let mut bits = [0u8; 16];
+        for l in 1..=16 {
+            bits[l - 1] = bits_long[l] as u8;
+        }
+        let mut syms: Vec<(u32, usize)> = (0..256)
+            .filter(|&s| codesize[s] > 0)
+            .map(|s| (codesize[s], s))
+            .collect();
+        syms.sort_unstable();
+        let values: Vec<u8> = syms.into_iter().map(|(_, s)| s as u8).collect();
+        HuffmanSpec::new(bits, values).expect("valid reference spec")
+    }
+
+    /// The live-symbol build's code sizes, spread back over 257 slots.
+    fn live_code_sizes(freqs: &[u64; 256]) -> [u32; 257] {
+        let slots: Vec<usize> = (0..256).filter(|&s| freqs[s] > 0).chain([256]).collect();
+        let mut freq: Vec<u64> = slots
+            .iter()
+            .map(|&s| freqs.get(s).map_or(1, |&f| f))
+            .collect();
+        let mut sizes = vec![0; freq.len()];
+        code_sizes(&mut freq, &mut sizes);
+        let mut spread = [0u32; 257];
+        for (&s, &cs) in slots.iter().zip(&sizes) {
+            spread[s] = cs;
+        }
+        spread
     }
 
     /// SplitMix64: a seeded generator for the frequency sets below.
@@ -560,11 +705,11 @@ mod tests {
         for case in 0..20_000 {
             let freqs = frequency_set(case, &mut rng);
             let freq = working_frequencies(&freqs);
-            let (got, want) = (code_sizes(&freq), reference_code_sizes(&freq));
+            let (got, want) = (live_code_sizes(&freqs), reference_code_sizes(&freq));
             assert_eq!(got, want, "case {case}: code sizes differ for {freqs:?}");
             assert_eq!(
                 HuffmanSpec::from_frequencies(&freqs).expect("buildable"),
-                HuffmanSpec::from_code_sizes(&want).expect("buildable"),
+                reference_spec(&want),
                 "case {case}"
             );
             long_codes += usize::from(want.iter().any(|&cs| cs > 16));
@@ -573,6 +718,102 @@ mod tests {
             long_codes > 1000,
             "only {long_codes} cases needed Adjust_BITS"
         );
+    }
+
+    /// The bit-serial decoder as first written: MINCODE/MAXCODE/VALPTR
+    /// and one bit per step. The oracle for [`HuffmanDecoder::decode`].
+    struct SerialDecoder {
+        mincode: [i32; 17],
+        maxcode: [i32; 17],
+        valptr: [i32; 17],
+        values: Vec<u8>,
+    }
+
+    impl SerialDecoder {
+        fn new(spec: &HuffmanSpec) -> Self {
+            let (mut mincode, mut maxcode, mut valptr) = ([0; 17], [-1; 17], [0; 17]);
+            let (mut code, mut k) = (0i32, 0i32);
+            for l in 1..=16usize {
+                let count = i32::from(spec.bits[l - 1]);
+                if count > 0 {
+                    valptr[l] = k;
+                    mincode[l] = code;
+                    code += count;
+                    k += count;
+                    maxcode[l] = code - 1;
+                }
+                code <<= 1;
+            }
+            SerialDecoder {
+                mincode,
+                maxcode,
+                valptr,
+                values: spec.values.clone(),
+            }
+        }
+
+        fn decode(&self, reader: &mut BitReader<'_>) -> Result<u8, CodecError> {
+            let mut code: i32 = 0;
+            for l in 1..=16usize {
+                code = (code << 1) | i32::from(reader.bit()?);
+                if self.maxcode[l] >= 0 && code <= self.maxcode[l] && code >= self.mincode[l] {
+                    let idx = (self.valptr[l] + (code - self.mincode[l])) as usize;
+                    return self
+                        .values
+                        .get(idx)
+                        .copied()
+                        .ok_or(CodecError::BadHuffmanCode);
+                }
+            }
+            Err(CodecError::BadHuffmanCode)
+        }
+    }
+
+    #[test]
+    fn lookahead_decode_matches_the_serial_decoder() {
+        let mut specs = vec![
+            HuffmanSpec::standard_dc_luma(),
+            HuffmanSpec::standard_dc_chroma(),
+            HuffmanSpec::standard_ac_luma(),
+            HuffmanSpec::standard_ac_chroma(),
+        ];
+        // Optimized specs with skewed counts, so that codes run past the
+        // lookahead's 9 bits, up to the 16-bit limit.
+        let mut rng = 0x100C_u64;
+        for live in [12, 40, 120, 256] {
+            let mut freqs = [0u64; 256];
+            for (i, f) in freqs.iter_mut().take(live).enumerate() {
+                *f = 1 + (splitmix(&mut rng) % 4) * (1 << (40 * i / live));
+            }
+            specs.push(HuffmanSpec::from_frequencies(&freqs).expect("buildable"));
+        }
+        for (n, spec) in specs.iter().enumerate() {
+            let longest = 16 - spec.bits.iter().rev().take_while(|&&b| b == 0).count();
+            assert!(
+                n < 4 || longest > 9,
+                "spec {n}: longest code {longest} bits"
+            );
+            let (lookahead, serial) = (HuffmanDecoder::from_spec(spec), SerialDecoder::new(spec));
+            for prefix in 0..=u16::MAX {
+                // The 16-bit prefix, then 16 bits more, stuffed.
+                let mut w = BitWriter::new();
+                w.put(prefix, 16);
+                w.put(splitmix(&mut rng) as u16, 16);
+                let full = w.finish();
+                // Cut short (possibly right after a 0xFF, which then
+                // reads as a marker), and cut short before a marker.
+                let cut = &full[..usize::from(prefix) % 3];
+                let marked = [cut, &[0xFF, 0xD9][..]].concat();
+                for data in [&full[..], cut, &marked] {
+                    let (mut a, mut b) = (BitReader::new(data), BitReader::new(data));
+                    let (got, want) = (lookahead.decode(&mut a), serial.decode(&mut b));
+                    assert_eq!(got, want, "spec {n}, stream {data:02x?}");
+                    if want.is_ok() {
+                        assert_eq!(a.bits(8), b.bits(8), "spec {n}: bits consumed differ");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,22 +23,24 @@ pub fn write_marker(out: &mut Vec<u8>, marker: u8) {
     out.push(marker);
 }
 
-/// Appends a marker segment with a length-prefixed payload.
+/// Appends a marker segment with a length-prefixed payload, which
+/// `payload` writes in place; the length is patched in after it.
 ///
 /// # Panics
 ///
 /// Panics if the payload exceeds the 16-bit segment limit.
-pub fn write_segment(out: &mut Vec<u8>, marker: u8, payload: &[u8]) {
-    assert!(payload.len() + 2 <= 0xFFFF, "segment payload too large");
+pub fn write_segment(out: &mut Vec<u8>, marker: u8, payload: impl FnOnce(&mut Vec<u8>)) {
     write_marker(out, marker);
-    let len = (payload.len() + 2) as u16;
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(payload);
+    let at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    payload(out);
+    let len = u16::try_from(out.len() - at).expect("segment payload too large");
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
 }
 
 /// The standard 16-byte JFIF 1.01 APP0 payload (no thumbnail, 1:1 aspect).
-pub fn jfif_app0_payload() -> Vec<u8> {
-    vec![
+pub fn jfif_app0_payload() -> [u8; 14] {
+    [
         b'J', b'F', b'I', b'F', 0x00, // identifier
         0x01, 0x01, // version 1.01
         0x00, // units: aspect ratio only
@@ -160,9 +162,11 @@ mod tests {
     fn segment_round_trip() {
         let mut out = Vec::new();
         write_marker(&mut out, SOI);
-        write_segment(&mut out, APP0, &jfif_app0_payload());
-        write_segment(&mut out, DQT, &[0x00, 1, 2, 3]);
-        write_segment(&mut out, SOS, &[0x01]);
+        write_segment(&mut out, APP0, |o| {
+            o.extend_from_slice(&jfif_app0_payload())
+        });
+        write_segment(&mut out, DQT, |o| o.extend_from_slice(&[0x00, 1, 2, 3]));
+        write_segment(&mut out, SOS, |o| o.push(0x01));
         out.extend_from_slice(&[0xAA, 0xBB]); // entropy data
         write_marker(&mut out, EOI);
 

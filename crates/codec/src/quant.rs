@@ -144,6 +144,7 @@ impl QuantTable {
     }
 
     /// Reconstructs coefficients from quantized levels: `level * q`.
+    #[inline(always)]
     pub fn dequantize(&self, levels: &[i32; 64]) -> Block {
         let mut out = [0.0f32; 64];
         for ((o, &l), &q) in out.iter_mut().zip(levels.iter()).zip(self.values.iter()) {
@@ -155,8 +156,7 @@ impl QuantTable {
 
 /// `x.round() as i32` for every `f32` (ties away from zero, saturating,
 /// NaN to 0) without calling libm's `roundf`, which the baseline x86-64
-/// target compiles `f32::round` to — once per coefficient here, and once
-/// per decoded sample in the color stage's `clamp_u8`.
+/// target compiles `f32::round` to — once per coefficient here.
 ///
 /// `t` truncates toward zero and `f = x - t` is the exact fractional part
 /// (for |x| < 2²³ both are exact; from there to the `i32` limits `x` is a

@@ -42,9 +42,12 @@
 //! written, so an optimized session is **two passes over the strips**,
 //! both through one [`EncodeWorkspace`]. [`StreamEncoder::analyze_strip`]
 //! transforms every strip once and records its entropy tokens (one `u32`
-//! per Huffman symbol) in the workspace; [`StreamEncoder::encode_strip`]
-//! then checks each strip's shape and emits that strip's tokens through
-//! tables built from their counts, without transforming it again. With
+//! per Huffman symbol) and their symbol counts in the workspace; the
+//! encode pass then emits each strip's tokens through tables built from
+//! those counts, without transforming it again. It reads nothing of a
+//! strip but its shape, so [`StreamEncoder::encode_analyzed_strip`] takes
+//! no strip at all; [`StreamEncoder::encode_strip`] checks the strip it is
+//! given and emits the same tokens. With
 //! [`optimize_huffman(false)`](crate::Encoder::optimize_huffman) the
 //! session is single-pass — the mode for sources that cannot be rewound,
 //! like the network strips of `deepn-serve`'s `CompressStream`.
@@ -58,15 +61,12 @@
 //! let mut ws = EncodeWorkspace::new();
 //! let mut session = StreamEncoder::new(&enc, 21, 13)?;
 //! let mut strip = PixelStrip::new();
-//! for pass in 0..2 {
-//!     for s in 0..session.strip_count() {
-//!         strip.copy_from_image(&img, s);
-//!         if pass == 0 {
-//!             session.analyze_strip(&strip, &mut ws)?;
-//!         } else {
-//!             session.encode_strip(&strip, &mut ws)?;
-//!         }
-//!     }
+//! for s in 0..session.strip_count() {
+//!     strip.copy_from_image(&img, s);
+//!     session.analyze_strip(&strip, &mut ws)?;
+//! }
+//! for _ in 0..session.strip_count() {
+//!     session.encode_analyzed_strip(&ws)?;
 //! }
 //! assert_eq!(session.finish()?, enc.encode(&img)?);
 //! # Ok(())
@@ -75,15 +75,15 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::block::{blocks_along, Block, BLOCK_SIZE};
-use crate::coeffs::{decode_block, tokenize_block, ScanTables};
-use crate::color::{planes_to_rgb, ycbcr};
+use crate::coeffs::{count_token, decode_block_into, tokenize_block, ScanTables, SymbolCounts};
+use crate::color::{block_row_to_rgb, ycbcr};
 use crate::dct::{forward_dct_8x8, inverse_dct_8x8};
 use crate::decoder::ScanSetup;
 use crate::encoder::write_headers;
 use crate::marker::{write_marker, EOI};
 use crate::profile::{timer, Stage};
 use crate::zigzag::{scan, unscan};
-use crate::{CodecError, Encoder, QuantTablePair, RgbImage};
+use crate::{CodecError, Encoder, QuantTable, QuantTablePair, RgbImage};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Height of one strip — one row of 8×8 blocks.
@@ -198,6 +198,9 @@ pub struct EncodeWorkspace {
     pub(crate) coeffs: Vec<[i32; 64]>,
     /// Entropy tokens of the latest analysis pass, in scan order.
     tokens: Vec<u32>,
+    /// Symbol counts of those tokens, taken while tokenizing. On the heap:
+    /// a workspace moves by value through thread start-up frames.
+    counts: Option<Box<SymbolCounts>>,
     /// End offset in `tokens` of each analyzed strip.
     strip_ends: Vec<usize>,
     /// Id of the session whose analysis `tokens` holds (0: none).
@@ -237,15 +240,17 @@ impl EncodeWorkspace {
     }
 }
 
-/// Caller-owned scratch buffers for the decode-side stages; same reuse
-/// contract as [`EncodeWorkspace`].
+/// Caller-owned scratch buffers for the decode-side stages — one strip's
+/// coefficients and blocks; same reuse contract as [`EncodeWorkspace`].
 #[derive(Debug, Default)]
 pub struct DecodeWorkspace {
     width: usize,
     bw: usize,
+    /// Decoded zig-zag coefficients of the latest strip, Y blocks first,
+    /// then Cb, then Cr.
     coeffs: Vec<[i32; 64]>,
+    /// Their level-shifted sample blocks, in the same order.
     blocks: Vec<Block>,
-    planes: [Vec<f32>; 3],
 }
 
 impl DecodeWorkspace {
@@ -263,10 +268,6 @@ impl DecodeWorkspace {
         self.coeffs.resize(3 * bw, [0; 64]);
         self.blocks.clear();
         self.blocks.resize(3 * bw, [0.0; 64]);
-        for plane in &mut self.planes {
-            plane.clear();
-            plane.resize(STRIP_ROWS * width, 0.0);
-        }
         self.width = width;
         self.bw = bw;
     }
@@ -513,11 +514,17 @@ impl<'e> StreamEncoder<'e> {
         blockize_and_transform(strip, ws, self.encoder.tables());
         let _t = timer(Stage::EncodeEntropy);
         let bw = ws.bw;
+        let (tokens, coeffs) = (&mut ws.tokens, &ws.coeffs);
+        let counts = ws.counts.get_or_insert_with(|| Box::new([[0; 256]; 4]));
+        if self.analyzed == 0 {
+            **counts = [[0; 256]; 4];
+        }
         for b in 0..bw {
             for ci in 0..3 {
                 self.prev_dc[ci] =
-                    tokenize_block(&ws.coeffs[ci * bw + b], self.prev_dc[ci], ci > 0, |t| {
-                        ws.tokens.push(t)
+                    tokenize_block(&coeffs[ci * bw + b], self.prev_dc[ci], ci > 0, |t| {
+                        tokens.push(t);
+                        count_token(counts, t);
                     });
             }
         }
@@ -526,12 +533,15 @@ impl<'e> StreamEncoder<'e> {
         Ok(())
     }
 
-    /// Builds the Huffman tables — optimized ones from the counts of the
-    /// analysis pass's tokens — and emits every header segment. Runs once,
+    /// Builds the Huffman tables — optimized ones from the symbol counts
+    /// the analysis pass took — and emits every header segment. Runs once,
     /// before the first strip's scan bytes.
     fn begin(&mut self, ws: &EncodeWorkspace) -> Result<(), CodecError> {
         let tables = if self.needs_analysis_pass() {
-            ScanTables::optimized(&ws.tokens)?
+            let counts = ws.counts.as_deref().ok_or_else(|| {
+                CodecError::StreamState("the workspace holds no symbol counts".into())
+            })?;
+            ScanTables::optimized(counts)?
         } else {
             ScanTables::standard()?
         };
@@ -551,7 +561,8 @@ impl<'e> StreamEncoder<'e> {
     /// in order). Headers are emitted with the first strip.
     ///
     /// An optimized session only checks the strip's shape and emits the
-    /// tokens its analysis pass recorded in `ws` for this strip: the
+    /// tokens its analysis pass recorded in `ws` for this strip, as
+    /// [`encode_analyzed_strip`](Self::encode_analyzed_strip) does: the
     /// pixels were transformed once, by
     /// [`analyze_strip`](Self::analyze_strip), and the output is the
     /// encoding of what that pass saw. A standard-Huffman session runs
@@ -568,25 +579,15 @@ impl<'e> StreamEncoder<'e> {
         strip: &PixelStrip,
         ws: &mut EncodeWorkspace,
     ) -> Result<(), CodecError> {
-        let optimized = self.needs_analysis_pass();
-        if optimized && self.analyzed < self.strip_count {
-            return Err(CodecError::StreamState(format!(
-                "optimized-Huffman sessions need the full analysis pass first \
-                 ({}/{} strips analyzed)",
-                self.analyzed, self.strip_count
-            )));
-        }
-        if optimized && ws.owner != self.id {
-            return Err(CodecError::StreamState(
-                "the workspace does not hold this session's analysis pass".into(),
-            ));
+        if self.needs_analysis_pass() {
+            self.check_analysis(ws)?;
+            self.check_strip(strip, self.encoded)?;
+            return self.emit_analyzed(ws);
         }
         self.check_strip(strip, self.encoded)?;
-        if !optimized {
-            blockize_and_transform(strip, ws, self.encoder.tables());
-        }
+        blockize_and_transform(strip, ws, self.encoder.tables());
         // The entropy stage includes building the tables and writing the
-        // headers on the first strip; `begin` reads only the tokens.
+        // headers on the first strip.
         let _t = timer(Stage::EncodeEntropy);
         if self.encoded == 0 {
             self.begin(ws)?;
@@ -595,24 +596,82 @@ impl<'e> StreamEncoder<'e> {
             .entropy
             .as_ref()
             .expect("begin() built the entropy tables");
-        if optimized {
-            let start = match self.encoded {
-                0 => 0,
-                s => ws.strip_ends[s - 1],
-            };
-            for &t in &ws.tokens[start..ws.strip_ends[self.encoded]] {
-                tables.emit(&mut self.writer, t);
+        let bw = ws.bw;
+        for b in 0..bw {
+            for ci in 0..3 {
+                self.prev_dc[ci] =
+                    tokenize_block(&ws.coeffs[ci * bw + b], self.prev_dc[ci], ci > 0, |t| {
+                        tables.emit(&mut self.writer, t)
+                    });
             }
-        } else {
-            let bw = ws.bw;
-            for b in 0..bw {
-                for ci in 0..3 {
-                    self.prev_dc[ci] =
-                        tokenize_block(&ws.coeffs[ci * bw + b], self.prev_dc[ci], ci > 0, |t| {
-                            tables.emit(&mut self.writer, t)
-                        });
-                }
-            }
+        }
+        self.encoded += 1;
+        Ok(())
+    }
+
+    /// The encode-pass step of an optimized session without the pixels:
+    /// emits the tokens the analysis pass recorded in `ws` for the next
+    /// strip. The encode pass reads nothing else of a strip but its shape,
+    /// so callers that still hold the image need not feed it again.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::StreamState`] for a standard-Huffman session (it
+    /// encodes from pixels, through [`encode_strip`](Self::encode_strip)),
+    /// once every strip is encoded, when the analysis pass is incomplete,
+    /// or when `ws` does not hold this session's analysis.
+    pub fn encode_analyzed_strip(&mut self, ws: &EncodeWorkspace) -> Result<(), CodecError> {
+        if !self.needs_analysis_pass() {
+            return Err(CodecError::StreamState(
+                "standard-Huffman sessions encode from pixels".into(),
+            ));
+        }
+        self.check_analysis(ws)?;
+        if self.encoded >= self.strip_count {
+            return Err(CodecError::StreamState(format!(
+                "all {} strips already fed",
+                self.strip_count
+            )));
+        }
+        self.emit_analyzed(ws)
+    }
+
+    /// Checks that `ws` holds this optimized session's complete analysis.
+    fn check_analysis(&self, ws: &EncodeWorkspace) -> Result<(), CodecError> {
+        if self.analyzed < self.strip_count {
+            return Err(CodecError::StreamState(format!(
+                "optimized-Huffman sessions need the full analysis pass first \
+                 ({}/{} strips analyzed)",
+                self.analyzed, self.strip_count
+            )));
+        }
+        if ws.owner != self.id {
+            return Err(CodecError::StreamState(
+                "the workspace does not hold this session's analysis pass".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Emits the next strip's recorded tokens (an optimized session's
+    /// encode pass, checked by the caller).
+    fn emit_analyzed(&mut self, ws: &EncodeWorkspace) -> Result<(), CodecError> {
+        // The entropy stage includes building the tables and writing the
+        // headers on the first strip; `begin` reads only the counts.
+        let _t = timer(Stage::EncodeEntropy);
+        if self.encoded == 0 {
+            self.begin(ws)?;
+        }
+        let tables = self
+            .entropy
+            .as_ref()
+            .expect("begin() built the entropy tables");
+        let start = match self.encoded {
+            0 => 0,
+            s => ws.strip_ends[s - 1],
+        };
+        for &t in &ws.tokens[start..ws.strip_ends[self.encoded]] {
+            tables.emit(&mut self.writer, t);
         }
         self.encoded += 1;
         Ok(())
@@ -729,48 +788,81 @@ impl<'b> StreamDecoder<'b> {
         // Inverse stage 1 — Entropy (sequential).
         {
             let _t = timer(Stage::DecodeEntropy);
+            let setup = &self.setup;
             for b in 0..bw {
-                for (ci, comp) in self.setup.components.iter().enumerate() {
-                    let zz = decode_block(&mut self.bits, &comp.dc, &comp.ac, self.prev_dc[ci])?;
+                for (ci, comp) in setup.components.iter().enumerate() {
+                    let zz = &mut ws.coeffs[ci * bw + b];
+                    let (dc, ac) = (&setup.decoders[comp.dc], &setup.decoders[comp.ac]);
+                    decode_block_into(&mut self.bits, dc, ac, self.prev_dc[ci], zz)?;
                     self.prev_dc[ci] = zz[0];
-                    ws.coeffs[ci * bw + b] = zz;
                 }
             }
         }
-        // Inverse stages 2–4 — Unzigzag → Dequantize → Idct, written by index.
-        {
-            let _t = timer(Stage::DecodeTransform);
-            let comps = &self.setup.components;
-            for (i, (zz, out)) in ws.coeffs.iter().zip(&mut ws.blocks).enumerate() {
-                let q = &comps[i / bw].quant;
-                *out = inverse_dct_8x8(&q.dequantize(&unscan(zz)));
-            }
-        }
-        let _t = timer(Stage::DecodeColor);
-        // Inverse stage 5 — BlockMerge: reassemble the valid rows, undo
-        // the level shift, discard edge padding.
-        let rows = self.strip_rows(self.emitted);
-        for (plane, blocks) in ws.planes.iter_mut().zip(ws.blocks.chunks_exact(bw)) {
-            for (bx, blk) in blocks.iter().enumerate() {
-                let x0 = bx * BLOCK_SIZE;
-                let n = BLOCK_SIZE.min(w - x0);
-                for iy in 0..rows {
-                    let src = &blk[iy * BLOCK_SIZE..][..n];
-                    for (dst, &s) in plane[iy * w + x0..][..n].iter_mut().zip(src) {
-                        *dst = s + 128.0;
-                    }
-                }
-            }
-        }
-        // Inverse stage 6 — ColorConvert⁻¹ into the pixel strip.
         strip.width = w;
-        strip.rows = rows;
-        strip.data.resize(rows * w * 3, 0);
-        let [y_plane, cb_plane, cr_plane] = &ws.planes;
-        planes_to_rgb(y_plane, cb_plane, cr_plane, &mut strip.data);
+        strip.rows = self.strip_rows(self.emitted);
+        let comps = &self.setup.components;
+        decode_tail(
+            ws,
+            [&comps[0].quant, &comps[1].quant, &comps[2].quant],
+            strip,
+        );
         self.emitted += 1;
         Ok(true)
     }
+}
+
+/// Inverse stages 2–6 on one decoded strip, each of their two loops timed
+/// as a stage — the body that both instruction-set instances compile.
+///
+/// Unzigzag → Dequantize → Idct runs per block, written by index.
+/// BlockMerge and ColorConvert⁻¹ are one pass: each block row's samples go
+/// from the three components' blocks straight into `strip` (sized by the
+/// caller), eight pixels at a time, with no strip planes between; the
+/// level shift is undone (`s + 128`) and edge padding discarded on the way.
+#[inline(always)]
+fn decode_stages(ws: &mut DecodeWorkspace, quant: [&QuantTable; 3], strip: &mut PixelStrip) {
+    let bw = ws.bw;
+    {
+        let _t = timer(Stage::DecodeTransform);
+        for (i, (zz, out)) in ws.coeffs.iter().zip(&mut ws.blocks).enumerate() {
+            *out = inverse_dct_8x8(&quant[i / bw].dequantize(&unscan(zz)));
+        }
+    }
+    let _t = timer(Stage::DecodeColor);
+    let (w, rows) = (strip.width, strip.rows);
+    strip.data.resize(rows * w * 3, 0);
+    let (luma, chroma) = ws.blocks.split_at(bw);
+    let (cb_blocks, cr_blocks) = chroma.split_at(bw);
+    for (iy, row) in strip.data.chunks_exact_mut(w * 3).enumerate() {
+        let blocks = luma.iter().zip(cb_blocks).zip(cr_blocks);
+        for (px, ((y, cb), cr)) in row.chunks_mut(3 * BLOCK_SIZE).zip(blocks) {
+            let samples =
+                |blk: &Block| -> [f32; 8] { std::array::from_fn(|ix| blk[iy * BLOCK_SIZE + ix]) };
+            let rgb = block_row_to_rgb(samples(y), samples(cb), samples(cr));
+            px.copy_from_slice(&rgb[..px.len()]);
+        }
+    }
+}
+
+/// [`decode_stages`] compiled for AVX2, without FMA, like
+/// [`stages_avx2`]: each lane performs the baseline instance's IEEE
+/// operations in the same order, so no pixel can differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn decode_stages_avx2(ws: &mut DecodeWorkspace, quant: [&QuantTable; 3], strip: &mut PixelStrip) {
+    decode_stages(ws, quant, strip);
+}
+
+/// Inverse stages 2–6 on one strip through the AVX2 instance when the CPU
+/// has AVX2, else through the baseline instance.
+fn decode_tail(ws: &mut DecodeWorkspace, quant: [&QuantTable; 3], strip: &mut PixelStrip) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the one feature `decode_stages_avx2` enables.
+        unsafe { decode_stages_avx2(ws, quant, strip) };
+        return;
+    }
+    decode_stages(ws, quant, strip);
 }
 
 #[cfg(test)]
@@ -903,6 +995,33 @@ mod tests {
         // Finishing early.
         let s = StreamEncoder::new(&std_enc, 10, 20).expect("open");
         assert!(matches!(s.finish(), Err(CodecError::StreamState(_))));
+        // The pixel-free encode step: not for a standard-Huffman session,
+        // not before the analysis pass, and not past the last strip.
+        let mut s = StreamEncoder::new(&std_enc, 10, 20).expect("open");
+        assert!(matches!(
+            s.encode_analyzed_strip(&ws),
+            Err(CodecError::StreamState(_))
+        ));
+        let mut s = StreamEncoder::new(&enc, 10, 20).expect("open");
+        assert!(matches!(
+            s.encode_analyzed_strip(&ws),
+            Err(CodecError::StreamState(_))
+        ));
+        for i in 0..s.strip_count() {
+            strip.copy_from_image(&img, i);
+            s.analyze_strip(&strip, &mut ws).expect("analyze");
+        }
+        for _ in 0..s.strip_count() {
+            s.encode_analyzed_strip(&ws).expect("encode");
+        }
+        assert!(matches!(
+            s.encode_analyzed_strip(&ws),
+            Err(CodecError::StreamState(_))
+        ));
+        assert_eq!(
+            s.finish().expect("finish"),
+            enc.encode(&img).expect("oneshot")
+        );
     }
 
     /// Deterministic noise: every pixel differs from its neighbours.
@@ -977,6 +1096,72 @@ mod tests {
                             unsafe { stages_avx2(&strip, &mut avx2, t) };
                             assert_eq!(bits(&base), bits(&avx2), "{w}x{h} strip {s} blocks");
                             assert_eq!(base.coeffs, avx2.coeffs, "{w}x{h} strip {s} coeffs");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The decode side's counterpart: inverse stages 2–6 through both
+    /// instances on every strip's decoded coefficients must give the same
+    /// blocks, bit for bit, and the same pixels.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_decode_instance_matches_the_baseline_instance() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skipped: this CPU has no AVX2");
+            return;
+        }
+        let tables = [
+            QuantTablePair::standard(1),
+            QuantTablePair::standard(50),
+            QuantTablePair::standard(100),
+            QuantTablePair::uniform(1),
+            QuantTablePair::uniform(255),
+        ];
+        let bits = |ws: &DecodeWorkspace| -> Vec<u32> {
+            ws.blocks.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        let (mut ws, mut strip) = (DecodeWorkspace::new(), PixelStrip::new());
+        for w in [1, 7, 8, 9, 33, 256] {
+            for h in [1, 8, 17] {
+                for img in [RgbImage::gradient(w, h), noisy(w, h)] {
+                    for t in &tables {
+                        let bytes = Encoder::with_tables(t.clone())
+                            .encode(&img)
+                            .expect("encode");
+                        let mut session = Decoder::new().stream_decoder(&bytes).expect("open");
+                        let mut s = 0;
+                        while session.next_strip(&mut ws, &mut strip).expect("strip") {
+                            let c = &session.setup.components;
+                            let quant = [&c[0].quant, &c[1].quant, &c[2].quant];
+                            let instance = |avx2: bool| {
+                                let mut copy = DecodeWorkspace {
+                                    coeffs: ws.coeffs.clone(),
+                                    blocks: vec![[f32::NAN; 64]; ws.blocks.len()],
+                                    ..DecodeWorkspace::new()
+                                };
+                                copy.bw = ws.bw;
+                                copy.width = ws.width;
+                                let mut out = PixelStrip {
+                                    width: strip.width,
+                                    rows: strip.rows,
+                                    data: Vec::new(),
+                                };
+                                if avx2 {
+                                    // SAFETY: the CPU supports AVX2, checked at the top of the test.
+                                    unsafe { decode_stages_avx2(&mut copy, quant, &mut out) };
+                                } else {
+                                    decode_stages(&mut copy, quant, &mut out);
+                                }
+                                (bits(&copy), out)
+                            };
+                            let (base, avx2) = (instance(false), instance(true));
+                            assert_eq!(base.0, avx2.0, "{w}x{h} strip {s} blocks");
+                            assert_eq!(base.1, avx2.1, "{w}x{h} strip {s} pixels");
+                            assert_eq!(base.1, strip, "{w}x{h} strip {s}: the session's pixels");
+                            s += 1;
                         }
                     }
                 }

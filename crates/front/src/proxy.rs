@@ -98,13 +98,14 @@ fn retryable(e: &ServeError) -> bool {
     )
 }
 
-/// Reads one frame, looping over idle-poll timeouts until `done` is set.
+/// Reads one frame, looping over idle-poll timeouts until `done` is set;
+/// a peer that pauses mid-frame is waited for on the same terms.
 fn read_frame_patient(
     stream: &mut TcpStream,
     shared: &ConnShared,
 ) -> Result<Option<Vec<u8>>, ServeError> {
     loop {
-        match protocol::read_frame(stream) {
+        match protocol::read_frame_resuming(stream, |_| !shared.done.load(Ordering::SeqCst)) {
             Err(e) if retryable(&e) => {
                 if shared.done.load(Ordering::SeqCst) {
                     return Ok(None);
@@ -172,14 +173,17 @@ fn upstream(
     // they are spliced verbatim, not parsed as requests.
     let mut strips_remaining: u64 = 0;
     loop {
-        let body = match protocol::read_frame(client_in) {
+        // Idle or mid-frame, the connection ends on teardown, or on drain
+        // once nothing it sent is still outstanding.
+        let finished = || {
+            shared.done.load(Ordering::SeqCst)
+                || (state.draining() && shared.outstanding.load(Ordering::SeqCst) == 0)
+        };
+        let body = match protocol::read_frame_resuming(client_in, |_| !finished()) {
             Ok(Some(b)) => b,
             Ok(None) => return,
             Err(e) if retryable(&e) => {
-                if shared.done.load(Ordering::SeqCst) {
-                    return;
-                }
-                if state.draining() && shared.outstanding.load(Ordering::SeqCst) == 0 {
+                if finished() {
                     return;
                 }
                 continue;

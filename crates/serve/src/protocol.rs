@@ -27,6 +27,7 @@ use crate::ServeError;
 use deepn_codec::RgbImage;
 use deepn_store::{ByteReader, ByteWriter};
 use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Upper bound on a frame body, bounding a hostile or corrupt length
 /// prefix before any allocation (64 MiB fits thousands of the synthetic
@@ -177,38 +178,79 @@ fn write_frame_parts(w: &mut impl Write, tag: &[u8], body: &[u8]) -> Result<(), 
     Ok(())
 }
 
-/// Like `read_exact`, but once any frame byte has been consumed a read
-/// timeout is a **fatal** protocol error: the stream can no longer be
-/// retried from a frame boundary, so treating it as "no request yet"
-/// would reinterpret mid-body bytes as a new frame length.
-fn read_exact_mid_frame(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ServeError> {
-    r.read_exact(buf).map_err(|e| {
-        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-            ServeError::Protocol("peer stalled mid-frame; connection desynchronized".into())
-        } else {
-            ServeError::Io(e)
+/// Like `read_exact` on the rest of a started frame, but a read timeout
+/// asks `keep_waiting` (with the time since the frame's first byte)
+/// whether to resume at the same offset. When it says no, the timeout is
+/// a **fatal** protocol error: the stream can no longer be retried from a
+/// frame boundary, so treating it as "no request yet" would reinterpret
+/// mid-body bytes as a new frame length.
+fn read_exact_mid_frame(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    started: Instant,
+    keep_waiting: &mut impl FnMut(Duration) -> bool,
+) -> Result<(), ServeError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => return Err(ServeError::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if !keep_waiting(started.elapsed()) {
+                    return Err(ServeError::Protocol(
+                        "peer stalled mid-frame; connection desynchronized".into(),
+                    ));
+                }
+            }
+            Err(e) => return Err(e.into()),
         }
-    })
+    }
+    Ok(())
 }
 
 /// Reads one frame body. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection). A read timeout *before* the
 /// first byte of a frame surfaces as a retryable [`ServeError::Io`]; a
 /// timeout after that is a fatal protocol error (see
-/// `read_exact_mid_frame`).
+/// [`read_frame_resuming`] for a reader that waits instead).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; rejects bodies over [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
+    read_frame_resuming(r, |_| false)
+}
+
+/// [`read_frame`] for a service's reader, whose socket read timeout is a
+/// poll interval, not a deadline: a timeout after a frame's first byte
+/// resumes the frame at the same offset for as long as `keep_waiting`,
+/// asked at each timeout with the time since that byte, returns true. A
+/// peer that pauses mid-frame thus keeps its connection, and the reader
+/// still notices shutdown (or a spent budget) within one poll interval.
+/// A timeout before the first byte is still the retryable
+/// [`ServeError::Io`].
+///
+/// # Errors
+///
+/// As [`read_frame`]; a stall `keep_waiting` gives up on is the fatal
+/// [`ServeError::Protocol`] error.
+pub fn read_frame_resuming(
+    r: &mut impl Read,
+    mut keep_waiting: impl FnMut(Duration) -> bool,
+) -> Result<Option<Vec<u8>>, ServeError> {
     let mut len = [0u8; 4];
     // A clean EOF before any length byte means "no more requests"; a
     // timeout here consumed nothing and is safe to retry.
-    match r.read(&mut len) {
+    let started = match r.read(&mut len) {
         Ok(0) => return Ok(None),
-        Ok(n) => read_exact_mid_frame(r, &mut len[n..])?,
+        Ok(n) => {
+            let started = Instant::now();
+            read_exact_mid_frame(r, &mut len[n..], started, &mut keep_waiting)?;
+            started
+        }
         Err(e) => return Err(e.into()),
-    }
+    };
     let n = u32::from_le_bytes(len) as usize;
     if n > MAX_FRAME {
         return Err(ServeError::Protocol(format!(
@@ -216,7 +258,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
         )));
     }
     let mut body = vec![0u8; n];
-    read_exact_mid_frame(r, &mut body)?;
+    read_exact_mid_frame(r, &mut body, started, &mut keep_waiting)?;
     Ok(Some(body))
 }
 

@@ -896,7 +896,9 @@ impl ConnCtx {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let body = match protocol::read_frame(&mut conn.stream) {
+            let body = match protocol::read_frame_resuming(&mut conn.stream, |stalled| {
+                self.keep_reading(stalled)
+            }) {
                 Ok(Some(body)) => body,
                 Ok(None) => return,
                 Err(ServeError::Io(e))
@@ -1067,6 +1069,15 @@ impl ConnCtx {
         }
     }
 
+    /// Whether a reader whose peer has been sending one frame for
+    /// `stalled` should keep waiting for the rest: until shutdown, and at
+    /// most the request budget when one is set. The socket's read timeout
+    /// is only the poll interval at which this is asked.
+    fn keep_reading(&self, stalled: Duration) -> bool {
+        !self.shutdown.load(Ordering::SeqCst)
+            && self.config.request_timeout.is_none_or(|t| stalled < t)
+    }
+
     /// The deadline of a request dispatched now, with its budget.
     fn deadline(&self) -> Option<(Duration, Instant)> {
         self.config.request_timeout.map(|t| (t, Instant::now() + t))
@@ -1184,7 +1195,11 @@ impl ConnCtx {
                         )));
                     }
                 }
-                match protocol::read_frame(stream) {
+                let within_budget = |_| {
+                    !self.shutdown.load(Ordering::SeqCst)
+                        && deadline.is_none_or(|(_, end)| Instant::now() < end)
+                };
+                match protocol::read_frame_resuming(stream, within_budget) {
                     Ok(Some(frame)) => break frame,
                     Ok(None) => {
                         return Err(ServeError::Protocol(format!(

@@ -7,8 +7,9 @@ use deepn_dataset::{DatasetSpec, ImageSet};
 use deepn_serve::protocol::{self, Opcode, STATUS_ERR, STATUS_OK};
 use deepn_serve::{Client, PipelineReply, ServeError, Server, ServerConfig};
 use deepn_store::{ByteReader, ByteWriter};
+use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(tables: QuantTablePair) -> (deepn_serve::ServerHandle, Client) {
     let server = Server::bind(
@@ -701,4 +702,53 @@ fn concurrent_clients_are_served() {
     // Shutdown via the handle instead of a client round trip.
     handle.request_shutdown();
     handle.join();
+}
+
+/// Writes the first two bytes of a Ping frame on a raw connection.
+fn start_ping_frame(conn: &mut TcpStream) -> Vec<u8> {
+    let mut frame = 1u32.to_le_bytes().to_vec();
+    frame.push(Opcode::Ping as u8);
+    conn.write_all(&frame[..2]).expect("first bytes");
+    frame
+}
+
+#[test]
+fn a_pause_inside_a_frame_longer_than_the_poll_interval_keeps_the_connection() {
+    // The reader polls its socket every 200 ms; a peer that stops for
+    // longer than that in the middle of a frame is still waited for.
+    let (handle, mut client) = start(QuantTablePair::standard(50));
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    conn.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    for pause in [Duration::from_millis(300), Duration::from_millis(650)] {
+        let frame = start_ping_frame(&mut conn);
+        std::thread::sleep(pause);
+        conn.write_all(&frame[2..]).expect("the rest of the frame");
+        let reply = protocol::read_frame(&mut conn)
+            .expect("a reply, not a closed connection")
+            .expect("not EOF");
+        assert_eq!(reply, [STATUS_OK], "pong after a {pause:?} pause");
+    }
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn a_peer_stalled_mid_frame_does_not_hold_up_shutdown() {
+    let (handle, client) = start(QuantTablePair::standard(50));
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    start_ping_frame(&mut conn);
+    // Let the reader take the first bytes and start waiting for the rest.
+    std::thread::sleep(Duration::from_millis(300));
+    drop(client);
+    let asked = Instant::now();
+    handle.request_shutdown();
+    handle.join();
+    assert!(
+        asked.elapsed() < Duration::from_secs(3),
+        "join took {:?} with a peer stalled mid-frame",
+        asked.elapsed()
+    );
+    drop(conn);
 }

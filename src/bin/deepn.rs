@@ -321,10 +321,7 @@ fn cmd_compress(mut args: Args) -> Result<(), Box<dyn Error>> {
         None => None,
     };
 
-    let open = |path: &str| -> Result<PpmRowReader<BufReader<File>>, Box<dyn Error>> {
-        Ok(PpmRowReader::new(BufReader::new(File::open(path)?))?)
-    };
-    let mut reader = open(&input)?;
+    let mut reader = PpmRowReader::new(BufReader::new(File::open(&input)?))?;
     let (w, h) = (reader.width(), reader.height());
     let mut strip = PixelStrip::new();
     let mut rows = Vec::new();
@@ -360,14 +357,12 @@ fn cmd_compress(mut args: Args) -> Result<(), Box<dyn Error>> {
         }
     } else {
         // Local path: the PPM streams through the codec strip by strip,
-        // twice (the file is simply reopened), because optimized Huffman
-        // tables need the whole image's symbols before the first header
-        // byte. The analysis pass transforms each strip once and keeps its
-        // entropy tokens in the workspace; the encode pass checks each
-        // strip's shape and emits those tokens, so the output encodes what
-        // the first read saw. Peak pixel memory is one 8-row strip,
-        // whatever the image size; the tokens take at most 4 bytes per
-        // coefficient.
+        // once. Optimized Huffman tables need the whole image's symbols
+        // before the first header byte, so the analysis pass transforms
+        // each strip and keeps its entropy tokens in the workspace; the
+        // encode pass then emits those tokens without the pixels. Peak
+        // pixel memory is one 8-row strip, whatever the image size; the
+        // tokens take at most 4 bytes per coefficient.
         let encoder = encoder.as_ref().expect("local encoding requires --tables");
         let mut session = encoder.stream_encoder(w, h)?;
         let mut ws = EncodeWorkspace::new();
@@ -376,13 +371,10 @@ fn cmd_compress(mut args: Args) -> Result<(), Box<dyn Error>> {
             strip.set_rows(w, n, &rows)?;
             session.analyze_strip(&strip, &mut ws)?;
         }
-        let mut reader = open(&input)?;
         let mut out = BufWriter::new(File::create(&output)?);
         let mut written = 0usize;
-        for s in 0..session.strip_count() {
-            let n = reader.read_rows(session.strip_rows(s), &mut rows)?;
-            strip.set_rows(w, n, &rows)?;
-            session.encode_strip(&strip, &mut ws)?;
+        for _ in 0..session.strip_count() {
+            session.encode_analyzed_strip(&ws)?;
             let chunk = session.take_output();
             written += chunk.len();
             out.write_all(&chunk)?;
